@@ -3,7 +3,8 @@
 The compiled kernels pack subset-sum masks into 64-bit words and use
 fixed-depth stacks, so they only apply when threshold + universe < 64,
 period < 64 and the length cap is at most _MAX_DEPTH.  Set IDEMFREE_PURE=1
-to force the pure-Python path.
+to force the pure-Python path.  verify_window's settle mode exists only in
+pure Python; without it the window is enumerated exhaustively.
 """
 
 from __future__ import annotations
@@ -57,7 +58,11 @@ def scan(universe, period, threshold, max_len, first_lo, first_hi,
 
 
 def verify_window(universe, period, threshold, tail_regime, len_lo, len_hi,
-                  first_lo, first_hi, node_budget):
+                  first_lo, first_hi, node_budget, settle=False, shapes=()):
+    if settle:
+        return _pykernels.verify_window(universe, period, threshold, tail_regime,
+                                        len_lo, len_hi, first_lo, first_hi,
+                                        node_budget, settle, shapes)
     if _compiled_fits(threshold + universe, period, len_hi):
         return _ckernels.verify_window(universe, period, threshold, tail_regime,
                                        len_lo, len_hi, first_lo, first_hi,

@@ -17,7 +17,7 @@ Free/minimal/bad classification modes for scan():
 
 from __future__ import annotations
 
-from math import gcd
+from math import comb, gcd
 
 from idemfree.errors import BudgetError
 
@@ -223,7 +223,7 @@ def scan(universe: int, period: int, threshold: int, max_len: int,
 
 class _Verify:
     def __init__(self, universe, period, threshold, tail_regime,
-                 len_lo, len_hi, node_budget):
+                 len_lo, len_hi, node_budget, settle, shapes):
         self.u = universe
         self.n = period
         self.threshold = threshold
@@ -241,6 +241,16 @@ class _Verify:
             self.gens, self.dtabs = [], []
         else:
             self.gens, self.dtabs = _decomposition_tables(universe, period)
+        self.settle = settle
+        self.condition_hits = 0
+        self.shape_labels: dict[tuple[int, ...], list[str]] = {}
+        self.shape_hits: dict[str, int] = {}
+        self.shape_prefixes: set[tuple[int, ...]] = set()
+        for label, shape in shapes:
+            shape = tuple(shape)
+            self.shape_labels.setdefault(shape, []).append(label)
+            self.shape_hits[label] = 0
+            self.shape_prefixes.update(shape[:i] for i in range(1, len(shape)))
 
     def _condition(self, total: int, smooth: bool) -> bool:
         if self.tail_regime:
@@ -279,30 +289,58 @@ class _Verify:
         if depth >= self.len_lo:
             self.total += 1
             free = not (high & 1)
-            if free != self._condition(total, smooth):
+            predicted = self._condition(total, smooth)
+            if self.settle:
+                self.condition_hits += predicted
+                for label in self.shape_labels.get(tuple(self.stack), ()):
+                    self.shape_hits[label] += 1
+                    predicted = True
+            if free != predicted:
                 self.violations.append(tuple(self.stack))
         if depth < self.len_hi:
-            for w in range(v, self.u + 1):
-                self._visit(w, exact, high, total, smooth)
+            if self.settle and high & 1 and tuple(self.stack) not in self.shape_prefixes:
+                # count the in-window proper extensions instead of visiting them:
+                # C(u-v+j, j) multisets add j terms from [v, u]
+                spare = self.u - v
+                self.total += sum(comb(spare + j, j) for j in
+                                  range(max(1, self.len_lo - depth), self.len_hi - depth + 1))
+            else:
+                for w in range(v, self.u + 1):
+                    self._visit(w, exact, high, total, smooth)
         self.stack.pop()
 
 
 def verify_window(universe: int, period: int, threshold: int, tail_regime: bool,
                   len_lo: int, len_hi: int, first_lo: int, first_hi: int,
-                  node_budget: int) -> dict:
+                  node_budget: int, settle: bool = False, shapes=()) -> dict:
     """Check free <=> smooth-structure over all multisets in a length window.
 
     tail_regime selects the structure condition: True compares against
     "1-smooth with index sum below the threshold" (index exceeds period),
     False against "g-smooth residues for some generator" (index within
     period).
+
+    settle=True skips the subtree under every node that is not free,
+    adding its in-window multisets to total in closed form; nodes counts
+    visited multisets only.  Each skipped multiset is not free (that is
+    upward-closed) and fails the condition, which implies freeness: it
+    keeps every subsequence sum below the threshold (tail) or off 0 mod
+    the period (group).  So none is a violation.  shapes, a sequence of
+    (label, multiset) pairs, makes each listed multiset predict free as
+    well (the critical-case split), and a proper prefix of a shape is
+    never skipped.  Settle mode adds the keys condition_hits and
+    shape_hits (per label), both over the window.
     """
     state = _Verify(universe, period, threshold, tail_regime,
-                    len_lo, len_hi, node_budget)
+                    len_lo, len_hi, node_budget, settle, shapes)
     if len_hi >= 1:
         state.run(first_lo, first_hi)
-    return {
+    result = {
         "nodes": state.nodes,
         "total": state.total,
         "violations": state.violations,
     }
+    if settle:
+        result["condition_hits"] = state.condition_hits
+        result["shape_hits"] = state.shape_hits
+    return result

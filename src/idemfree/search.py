@@ -34,9 +34,7 @@ from idemfree.errors import BudgetError, DomainError
 from idemfree.semigroup import SemigroupParams
 from idemfree.sequences import (
     Sequence,
-    enumerate_multisets,
     format_index_multiset,
-    multiset_count,
     parse_index_multiset,
 )
 
@@ -298,6 +296,23 @@ def _shard_ranges(universe: int, workers: int) -> list[tuple[int, int]]:
     return [(v, v) for v in range(1, universe + 1)]
 
 
+def _settle_window(params: SemigroupParams, tail_regime: bool, len_lo: int, len_hi: int,
+                   workers: int, node_budget: int, shapes=()) -> list[dict]:
+    """Run the settle-mode verify DFS over a window, one result per shard.
+
+    Every shard gets the whole node budget and the merged node count is
+    held to it as well, so a refusal does not depend on the worker count.
+    """
+    args = [(params.size, params.n, params.threshold, tail_regime,
+             len_lo, len_hi, lo, hi, node_budget, True, shapes)
+            for lo, hi in _shard_ranges(params.size, workers)]
+    results = _run_shards(_verify_shard, args, workers)
+    if sum(r["nodes"] for r in results) > node_budget:
+        raise BudgetError(
+            f"enumeration aborted: visited multisets exceed the node budget {node_budget}")
+    return results
+
+
 def _merge_scans(results: list[dict], max_len: int) -> dict:
     merged = {
         "free_count_by_len": [0] * (max_len + 1),
@@ -443,14 +458,6 @@ def search_bad_sequences(params: SemigroupParams, kind: str, cap: int | None = N
 # ---------------------------------------------------------------------------
 # verifications
 
-def _window_budget_check(universe: int, len_hi: int, node_budget: int) -> None:
-    total = sum(multiset_count(universe, length) for length in range(1, len_hi + 1))
-    if total > node_budget:
-        raise BudgetError(
-            f"refusing exhaustive scan: sum(C({universe}+L-1, L) for L in 1..{len_hi})"
-            f" = {total} multisets exceeds the budget {node_budget}")
-
-
 def verify_structure(params: SemigroupParams, max_length: int | None = None,
                      workers: int = 1, node_budget: int = DEFAULT_NODE_BUDGET,
                      cache: ResultCache | str | Path | None = None) -> VerificationReport:
@@ -469,11 +476,8 @@ def verify_structure(params: SemigroupParams, max_length: int | None = None,
         hit = cache.load("verify_structure", params.k, params.n, max_length)
         if hit is not None:
             return VerificationReport.from_json_dict(hit)
-    _window_budget_check(params.size, max_length, node_budget)
-    args = [(params.size, params.n, params.threshold, params.k > params.n,
-             bound, max_length, lo, hi, node_budget)
-            for lo, hi in _shard_ranges(params.size, workers)]
-    results = _run_shards(_verify_shard, args, workers)
+    results = _settle_window(params, params.k > params.n, bound, max_length,
+                             workers, node_budget)
     violations: list[tuple[int, ...]] = []
     for r in results:
         violations.extend(tuple(v) for v in r["violations"])
@@ -494,29 +498,37 @@ def verify_structure(params: SemigroupParams, max_length: int | None = None,
     return report
 
 
-def matched_cases(params: SemigroupParams, indices: tuple[int, ...]) -> tuple[str, ...]:
-    """Which of the five free-structure case shapes the multiset matches."""
+def case_shapes(params: SemigroupParams) -> list[tuple[str, tuple[int, ...]]]:
+    """The explicit multisets of the four non-generic case shapes, as (label, multiset).
+
+    A label may list several multisets and a multiset several labels; pairs
+    come in CASE_LABELS order.
+    """
     if params.k <= params.n:
         raise DomainError("the case split applies only when the index exceeds the period")
-    n = params.n
+    k, n = params.k, params.n
     t = params.threshold
     q = t // n
+    shapes = []
+    if n >= 3 and t % 2 == 1:
+        shapes.append((CASE_ALL_TWOS, (2,) * ((q + 1) * n // 2 - 1)))
+    if n == 2:
+        shapes.extend((CASE_ODD_HEAD_TWOS, (2,) * (q - 1) + (head,))
+                      for head in range(3, params.size + 1, 2))
+    if n == 1 and k % 2 == 1:
+        shapes.append((CASE_ONES_PLUS_HALF, (1,) * ((k - 3) // 2) + ((k + 1) // 2,)))
+        shapes.append((CASE_ALL_TWOS_PERIOD1, (2,) * ((k - 1) // 2)))
+    return shapes
+
+
+def matched_cases(params: SemigroupParams, indices: tuple[int, ...]) -> tuple[str, ...]:
+    """Which of the five free-structure case shapes the multiset matches."""
+    shapes = case_shapes(params)
     ordered = tuple(sorted(indices))
     out = []
-    seq = Sequence(params, ordered)
-    if ordered and structure_condition(seq):
+    if ordered and structure_condition(Sequence(params, ordered)):
         out.append(CASE_SMOOTH_BELOW_THRESHOLD)
-    if n >= 3 and t % 2 == 1 and ordered == (2,) * ((q + 1) * n // 2 - 1):
-        out.append(CASE_ALL_TWOS)
-    if n == 2 and len(ordered) == q and ordered[:-1] == (2,) * (q - 1) \
-            and ordered[-1] >= 3 and ordered[-1] % 2 == 1:
-        out.append(CASE_ODD_HEAD_TWOS)
-    if n == 1 and params.k % 2 == 1:
-        k = params.k
-        if ordered == (1,) * ((k - 3) // 2) + ((k + 1) // 2,):
-            out.append(CASE_ONES_PLUS_HALF)
-        if ordered == (2,) * ((k - 1) // 2):
-            out.append(CASE_ALL_TWOS_PERIOD1)
+    out.extend(label for label, shape in shapes if shape == ordered)
     return tuple(out)
 
 
@@ -525,9 +537,10 @@ def verify_critical_cases(params: SemigroupParams,
                           cache: ResultCache | str | Path | None = None) -> VerificationReport:
     """Check that long free sequences are exactly the five case shapes.
 
-    Scans every multiset from the critical length up to the hard freeness
-    bound; a counterexample is a free sequence matching no case or a
-    non-free sequence matching some case.
+    Checks every multiset from the critical length up to the hard freeness
+    bound, counting settled subtrees in closed form; a counterexample is a
+    free sequence matching no case or a non-free sequence matching some
+    case.
     """
     cache = _as_cache(cache)
     if params.k <= params.n:
@@ -538,28 +551,18 @@ def verify_critical_cases(params: SemigroupParams,
         hit = cache.load("verify_cases", params.k, params.n, hi)
         if hit is not None:
             return VerificationReport.from_json_dict(hit)
-    _window_budget_check(params.size, hi, node_budget)
+    result, = _settle_window(params, True, lo, hi, 1, node_budget, case_shapes(params))
     tallies = {label: 0 for label in CASE_LABELS}
-    violations = []
-    total = 0
-    for length in range(lo, hi + 1):
-        for indices in enumerate_multisets(params.size, length):
-            total += 1
-            _, high = _kernels.profile(indices, params.threshold, params.n)
-            free = not high & 1
-            cases = matched_cases(params, indices)
-            for label in cases:
-                tallies[label] += 1
-            if free != bool(cases):
-                violations.append(indices)
+    tallies[CASE_SMOOTH_BELOW_THRESHOLD] = result["condition_hits"]
+    tallies.update(result["shape_hits"])
     report = VerificationReport(
         check="critical-cases",
         k=params.k,
         n=params.n,
         min_length=lo,
         max_length=hi,
-        total_sequences=total,
-        counterexamples=tuple(violations),
+        total_sequences=result["total"],
+        counterexamples=tuple(sorted(result["violations"], key=lambda v: (len(v), v))),
         case_tallies=tallies,
     )
     if cache is not None:

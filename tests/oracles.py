@@ -4,7 +4,8 @@ Everything here is built from first principles: the semigroup is driven
 only by its defining relation (index k+n collapses to index k), subset
 sums use plain set unions, and smooth structure is checked against the
 literal definition (subsequence sums form a full initial segment of the
-generated subgroup).  No bitmask or prefix shortcuts.
+generated subgroup).  No bitmask or prefix shortcuts, except in the last
+section, which keeps an earlier, unpruned implementation as a reference.
 """
 
 from __future__ import annotations
@@ -12,6 +13,21 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd
+
+from idemfree import _kernels
+from idemfree.classify import structure_condition
+from idemfree.search import (
+    CASE_ALL_TWOS,
+    CASE_ALL_TWOS_PERIOD1,
+    CASE_LABELS,
+    CASE_ODD_HEAD_TWOS,
+    CASE_ONES_PLUS_HALF,
+    CASE_SMOOTH_BELOW_THRESHOLD,
+    VerificationReport,
+    critical_length,
+    max_free_length,
+)
+from idemfree.sequences import Sequence, enumerate_multisets
 
 
 def wrap_index(k: int, n: int, m: int) -> int:
@@ -118,3 +134,61 @@ def sequence_index_oracle(n: int, residues) -> Fraction | None:
 def all_multisets(universe: int, max_len: int, min_len: int = 1):
     for length in range(min_len, max_len + 1):
         yield from combinations_with_replacement(range(1, universe + 1), length)
+
+
+# --- the critical-case split, one multiset at a time -------------------------
+# The per-multiset implementation verify_critical_cases had before it moved
+# onto the settle-mode DFS: every multiset of the window is profiled and
+# pattern-matched, nothing is skipped.  It is the reference for the DFS.
+
+def matched_cases_by_pattern(params, indices) -> tuple[str, ...]:
+    n = params.n
+    t = params.threshold
+    q = t // n
+    ordered = tuple(sorted(indices))
+    out = []
+    seq = Sequence(params, ordered)
+    if ordered and structure_condition(seq):
+        out.append(CASE_SMOOTH_BELOW_THRESHOLD)
+    if n >= 3 and t % 2 == 1 and ordered == (2,) * ((q + 1) * n // 2 - 1):
+        out.append(CASE_ALL_TWOS)
+    if n == 2 and len(ordered) == q and ordered[:-1] == (2,) * (q - 1) \
+            and ordered[-1] >= 3 and ordered[-1] % 2 == 1:
+        out.append(CASE_ODD_HEAD_TWOS)
+    if n == 1 and params.k % 2 == 1:
+        k = params.k
+        if ordered == (1,) * ((k - 3) // 2) + ((k + 1) // 2,):
+            out.append(CASE_ONES_PLUS_HALF)
+        if ordered == (2,) * ((k - 1) // 2):
+            out.append(CASE_ALL_TWOS_PERIOD1)
+    return tuple(out)
+
+
+def critical_cases_by_enumeration(params) -> dict:
+    """The verify_critical_cases payload, from a visit to every multiset."""
+    lo = critical_length(params)
+    hi = max(lo, max_free_length(params))
+    tallies = {label: 0 for label in CASE_LABELS}
+    violations = []
+    total = 0
+    for length in range(lo, hi + 1):
+        for indices in enumerate_multisets(params.size, length):
+            total += 1
+            _, high = _kernels.profile(indices, params.threshold, params.n)
+            free = not high & 1
+            cases = matched_cases_by_pattern(params, indices)
+            for label in cases:
+                tallies[label] += 1
+            if free != bool(cases):
+                violations.append(indices)
+    report = VerificationReport(
+        check="critical-cases",
+        k=params.k,
+        n=params.n,
+        min_length=lo,
+        max_length=hi,
+        total_sequences=total,
+        counterexamples=tuple(violations),
+        case_tallies=tallies,
+    )
+    return report.to_json_dict()

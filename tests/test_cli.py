@@ -199,6 +199,16 @@ def test_budget_refusal_exit(capsys):
                            "--budget", "10")
     assert code == 3 and err.startswith("refused:")
 
+    # the budget counts visited nodes over all shards, whatever the workers
+    errs = set()
+    for workers in ("1", "2"):
+        code, out, err = run_cli(capsys, "verify", "--k", "5", "--n", "3",
+                                 "--max-length", "8", "--budget", "100",
+                                 "--workers", workers)
+        assert code == 3 and out == "" and err.startswith("refused:")
+        errs.add(err)
+    assert len(errs) == 1
+
 
 def test_argparse_native_errors(capsys):
     with pytest.raises(SystemExit) as exc:

@@ -30,10 +30,15 @@ from idemfree.search import (
     default_minimal_cap,
     max_free_length,
     regime_label,
+    structure_bound,
 )
 from idemfree import _kernels
 
+import oracles
+
 P = SemigroupParams
+
+SMALL_PAIRS = [(k, n) for k in range(1, 10) for n in range(1, 11 - k)]
 
 
 def test_bound_formulas():
@@ -104,6 +109,50 @@ def test_verify_engine_detects_violations_below_bound():
         len_lo=1, len_hi=2, first_lo=1, first_hi=7, node_budget=10**6)
     assert report["violations"]
     assert (2,) in {tuple(v) for v in report["violations"]}
+
+
+@pytest.mark.parametrize("k,n", SMALL_PAIRS)
+def test_settle_mode_agrees_with_exhaustive_window(k, n):
+    # skipping settled subtrees must not change the total or the violations,
+    # in either regime, from length 1 (below the bound violations exist),
+    # over the whole range and over every single-first-element shard
+    p = P(k, n)
+    u, t = p.size, p.threshold
+    hi = structure_bound(p) + 3
+    for tail in (True, False):
+        shard_nodes = []
+        for first_lo, first_hi in [(1, u)] + [(v, v) for v in range(1, u + 1)]:
+            full = _kernels.verify_window(u, n, t, tail, 1, hi, first_lo, first_hi, 10**8)
+            fast = _kernels.verify_window(u, n, t, tail, 1, hi, first_lo, first_hi, 10**8,
+                                          True)
+            assert fast["total"] == full["total"], (tail, first_lo)
+            assert sorted(fast["violations"]) == sorted(full["violations"]), (tail, first_lo)
+            assert fast["nodes"] <= full["nodes"]
+            shard_nodes.append(fast["nodes"])
+        # the global node budget relies on shards partitioning the visits
+        assert sum(shard_nodes[1:]) == shard_nodes[0]
+
+
+def test_settle_mode_never_skips_a_shape():
+    # (6,) is the idempotent of C_{5;3}, so it is not free and its subtree
+    # is settled unless a shape lies in it; a bogus shape below it must
+    # still be visited and reported
+    p = P(5, 3)
+    u, t = p.size, p.threshold
+    plain = _kernels.verify_window(u, 3, t, True, 1, 4, 1, u, 10**6, True)
+    bogus = _kernels.verify_window(u, 3, t, True, 1, 4, 1, u, 10**6, True,
+                                   (("bogus", (6, 7)),))
+    assert (6, 7) not in plain["violations"]
+    assert (6, 7) in bogus["violations"]
+    assert bogus["shape_hits"] == {"bogus": 1}
+    assert sorted(set(bogus["violations"]) - set(plain["violations"])) == [(6, 7)]
+    assert bogus["total"] == plain["total"]
+
+
+@pytest.mark.parametrize("k,n", [(k, n) for k, n in SMALL_PAIRS if k > n])
+def test_critical_cases_match_per_multiset_enumeration(k, n):
+    assert (verify_critical_cases(P(k, n)).to_json_dict()
+            == oracles.critical_cases_by_enumeration(P(k, n)))
 
 
 def test_verify_critical_cases():
@@ -267,6 +316,18 @@ def test_budget_refusals():
     assert "100" in str(err.value)
     with pytest.raises(BudgetError):
         free_smooth_threshold(P(9, 9), node_budget=10)
+
+
+def test_verify_budget_counts_visited_nodes_globally():
+    # the pruned C_{5;3} window visits 153 nodes, its largest shard 80:
+    # a per-shard budget of 100 would pass at workers=2
+    want = "enumeration aborted: visited multisets exceed the node budget 100"
+    for workers in (1, 2):
+        with pytest.raises(BudgetError) as err:
+            verify_structure(P(5, 3), 8, workers=workers, node_budget=100)
+        assert str(err.value) == want
+        assert (verify_structure(P(5, 3), 8, workers=workers, node_budget=153)
+                == verify_structure(P(5, 3), 8))
 
 
 def test_worker_determinism_api():
