@@ -40,37 +40,27 @@ def is_idempotent_sum_free(seq: Sequence) -> bool:
     return not high & 1
 
 
-def _profile_step(exact: int, high: int, v: int, cap: int, period: int) -> tuple[int, int]:
-    shifted = (exact << v) | (1 << v)
-    if high:
-        d = v % period
-        high |= ((high << d) | (high >> (period - d))) & ((1 << period) - 1)
-    over = shifted >> cap
-    while over:
-        low = over & -over
-        high |= 1 << ((cap + low.bit_length() - 1) % period)
-        over ^= low
-    return (exact | shifted) & ((1 << cap) - 2), high
-
-
 def idempotent_sum_witness(seq: Sequence) -> Sequence | None:
     """An idempotent-sum subsequence, or None when the sequence is free.
 
     Reconstructed by walking the subset-sum profile backwards through the
-    terms.
+    terms, from the shortest prefix that is not free: the walk skips every
+    later term, so their profiles are not computed.
     """
     params = seq.params
     cap, n = params.threshold, params.n
     values = seq.indices
     profiles = [(0, 0)]
     for v in values:
-        exact, high = profiles[-1]
-        profiles.append(_profile_step(exact, high, v, cap, n))
-    if not profiles[-1][1] & 1:
+        exact, high = _kernels.profile_step(*profiles[-1], v, cap, n)
+        profiles.append((exact, high))
+        if high & 1:
+            break
+    else:
         return None
     taken: list[int] = []
     on_high, state = True, 0
-    for i in range(len(values), 0, -1):
+    for i in range(len(profiles) - 1, 0, -1):
         pe, ph = profiles[i - 1]
         v = values[i - 1]
         if on_high:

@@ -28,6 +28,7 @@ from idemfree.semigroup import SemigroupParams
 from idemfree.sequences import Sequence
 from idemfree.search import (
     DEFAULT_NODE_BUDGET,
+    ROW_COLUMNS,
     SWEEP_COLUMNS,
     explore_bounds,
     free_smooth_threshold,
@@ -41,11 +42,7 @@ from idemfree.search import (
 
 CACHE_DIR_ENV = "IDEMFREE_CACHE_DIR"
 
-EXPLORE_COLUMNS = (
-    "k", "n", "regime", "free_smooth", "minimal_smooth",
-    "free_smooth_lo", "free_smooth_hi", "minimal_smooth_lo", "minimal_smooth_hi",
-    "free_frontier_hit", "minimal_frontier_hit", "within_bounds",
-)
+EXPLORE_COLUMNS = ROW_COLUMNS + ("within_bounds",)
 
 
 @dataclass

@@ -245,11 +245,27 @@ class ResultCache:
         return self.directory / f"{op}_k{k}_n{n}_c{cap}.json"
 
     def load(self, op: str, k: int, n: int, cap: int) -> dict | None:
+        """The stored payload, or None when there is none that answers this request.
+
+        A file that does not hold a payload exactly as this module writes
+        it, or whose payload is not the result of (op, k, n, cap), is a
+        miss; the caller recomputes and overwrites it.
+        """
         path = self.path(op, k, n, cap)
         if not path.is_file():
             return None
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        result_type, field, label, cap_field = _CACHE_OPS[op]
+        try:
+            with open(path, encoding="utf-8") as fh:
+                payload = json.load(fh)
+            stored = result_type.from_json_dict(payload)
+        except (OSError, AttributeError, KeyError, TypeError, ValueError):
+            return None
+        if (stored.to_json_dict() != payload
+                or (payload[field], payload["k"], payload["n"], payload[cap_field])
+                != (label, k, n, cap)):
+            return None
+        return payload
 
     def store(self, op: str, k: int, n: int, cap: int, payload: dict) -> None:
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -264,6 +280,17 @@ class ResultCache:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
+
+
+# cache op -> (result type, payload field naming the operation, its value,
+# payload field holding the cap in the file name)
+_CACHE_OPS = {
+    "free_smooth": (InvariantResult, "which", FREE_SMOOTH, "search_cap"),
+    "minimal_smooth": (InvariantResult, "which", MINIMAL_SMOOTH, "search_cap"),
+    "index": (InvariantResult, "which", INDEX, "search_cap"),
+    "verify_structure": (VerificationReport, "check", "structure", "max_length"),
+    "verify_cases": (VerificationReport, "check", "critical-cases", "max_length"),
+}
 
 
 def _as_cache(cache: ResultCache | str | Path | None) -> ResultCache | None:
@@ -296,21 +323,29 @@ def _shard_ranges(universe: int, workers: int) -> list[tuple[int, int]]:
     return [(v, v) for v in range(1, universe + 1)]
 
 
+def _run_sharded(worker, shard_args, universe: int, workers: int,
+                 node_budget: int) -> list[dict]:
+    """Run a kernel over shards of the smallest element, one result per shard.
+
+    shard_args(lo, hi) gives one shard's kernel arguments.  Every shard gets
+    the whole node budget and the merged node count is held to it as well,
+    so a refusal does not depend on the worker count.
+    """
+    results = _run_shards(worker, [shard_args(lo, hi) for lo, hi
+                                   in _shard_ranges(universe, workers)], workers)
+    if sum(r["nodes"] for r in results) > node_budget:
+        raise _kernels.over_budget(node_budget)
+    return results
+
+
 def _settle_window(params: SemigroupParams, tail_regime: bool, len_lo: int, len_hi: int,
                    workers: int, node_budget: int, shapes=()) -> list[dict]:
-    """Run the settle-mode verify DFS over a window, one result per shard.
-
-    Every shard gets the whole node budget and the merged node count is
-    held to it as well, so a refusal does not depend on the worker count.
-    """
-    args = [(params.size, params.n, params.threshold, tail_regime,
-             len_lo, len_hi, lo, hi, node_budget, True, shapes)
-            for lo, hi in _shard_ranges(params.size, workers)]
-    results = _run_shards(_verify_shard, args, workers)
-    if sum(r["nodes"] for r in results) > node_budget:
-        raise BudgetError(
-            f"enumeration aborted: visited multisets exceed the node budget {node_budget}")
-    return results
+    """Run the settle-mode verify DFS over a window, one result per shard."""
+    return _run_sharded(
+        _verify_shard,
+        lambda lo, hi: (params.size, params.n, params.threshold, tail_regime,
+                        len_lo, len_hi, lo, hi, node_budget, True, shapes),
+        params.size, workers, node_budget)
 
 
 def _merge_scans(results: list[dict], max_len: int) -> dict:
@@ -337,41 +372,54 @@ def _merge_scans(results: list[dict], max_len: int) -> dict:
     return merged
 
 
-def _run_scan(params: SemigroupParams, max_len: int,
-              free_bad_mode: int, minimal_bad_mode: int,
-              workers: int, node_budget: int) -> dict:
-    args = [(params.size, params.n, params.threshold, max_len, lo, hi,
-             free_bad_mode, minimal_bad_mode, node_budget)
-            for lo, hi in _shard_ranges(params.size, workers)]
-    return _merge_scans(_run_shards(_scan_shard, args, workers), max_len)
-
-
 # ---------------------------------------------------------------------------
 # invariants
 
-def _invariant_from_scan(which: str, params: SemigroupParams, cap: int,
-                         merged: dict, kind: str, reported_k: int) -> InvariantResult:
-    bad_by_len = merged[f"{kind}_bad_by_len"]
-    best_len = merged[f"{kind}_bad_len"]
-    return InvariantResult(
-        which=which,
-        k=reported_k,
-        n=params.n,
-        value=best_len + 1,
-        search_cap=cap,
-        frontier_hit=bad_by_len[cap] > 0,
-        witnesses=tuple(merged[f"{kind}_bad_witnesses"]),
-        witness_total=bad_by_len[best_len] if best_len else 0,
-        bad_by_length=tuple(bad_by_len),
-        candidate_by_length=tuple(merged[f"{kind}_count_by_len"]),
-    )
-
-
-def _finish_invariant(op: str, result: InvariantResult,
-                      cache: ResultCache | None,
-                      k: int, n: int, cap: int) -> InvariantResult:
+def _threshold(which: str, params: SemigroupParams, cap: int | None, workers: int,
+               node_budget: int, cache: ResultCache | str | Path | None) -> InvariantResult:
+    """The three threshold searches: cap default, cache lookup, scan, cache store."""
+    cache = _as_cache(cache)
+    op = which.replace("-", "_")
+    kind = "free" if which == FREE_SMOOTH else "minimal"
+    if cap is None:
+        cap = default_free_cap(params) if kind == "free" else default_minimal_cap(params)
+    if cap < 1:
+        raise DomainError(f"cap must be >= 1, got {cap}")
     if cache is not None:
-        cache.store(op, k, n, cap, result.to_json_dict())
+        hit = cache.load(op, params.k, params.n, cap)
+        if hit is not None:
+            return InvariantResult.from_json_dict(hit)
+    if which != INDEX and params.k == params.n == 1:
+        # C_{1;1}: no sequence is free and the single term is the only minimal one
+        result = InvariantResult(which, 1, 1, 0 if kind == "free" else 1, cap, False, (), 0,
+                                 (0,) * (cap + 1), (0,) * (cap + 1))
+    else:
+        if which == INDEX:
+            modes = (0, 3)
+        else:
+            mode = 1 if params.k > params.n else 2
+            modes = (mode, 0) if kind == "free" else (0, mode)
+        merged = _merge_scans(_run_sharded(
+            _scan_shard,
+            lambda lo, hi: (params.size, params.n, params.threshold, cap, lo, hi,
+                            *modes, node_budget),
+            params.size, workers, node_budget), cap)
+        bad_by_len = merged[f"{kind}_bad_by_len"]
+        best_len = merged[f"{kind}_bad_len"]
+        result = InvariantResult(
+            which=which,
+            k=params.k,
+            n=params.n,
+            value=best_len + 1,
+            search_cap=cap,
+            frontier_hit=bad_by_len[cap] > 0,
+            witnesses=tuple(merged[f"{kind}_bad_witnesses"]),
+            witness_total=bad_by_len[best_len] if best_len else 0,
+            bad_by_length=tuple(bad_by_len),
+            candidate_by_length=tuple(merged[f"{kind}_count_by_len"]),
+        )
+    if cache is not None:
+        cache.store(op, params.k, params.n, cap, result.to_json_dict())
     return result
 
 
@@ -379,46 +427,14 @@ def free_smooth_threshold(params: SemigroupParams, cap: int | None = None,
                           workers: int = 1, node_budget: int = DEFAULT_NODE_BUDGET,
                           cache: ResultCache | str | Path | None = None) -> InvariantResult:
     """Least length from which every free sequence has the smooth structure."""
-    cache = _as_cache(cache)
-    if cap is None:
-        cap = default_free_cap(params)
-    if cap < 1:
-        raise DomainError(f"cap must be >= 1, got {cap}")
-    if cache is not None:
-        hit = cache.load("free_smooth", params.k, params.n, cap)
-        if hit is not None:
-            return InvariantResult.from_json_dict(hit)
-    if params.k == 1 and params.n == 1:
-        result = InvariantResult(FREE_SMOOTH, 1, 1, 0, cap, False, (), 0,
-                                 (0,) * (cap + 1), (0,) * (cap + 1))
-        return _finish_invariant("free_smooth", result, cache, 1, 1, cap)
-    mode = 1 if params.k > params.n else 2
-    merged = _run_scan(params, cap, mode, 0, workers, node_budget)
-    result = _invariant_from_scan(FREE_SMOOTH, params, cap, merged, "free", params.k)
-    return _finish_invariant("free_smooth", result, cache, params.k, params.n, cap)
+    return _threshold(FREE_SMOOTH, params, cap, workers, node_budget, cache)
 
 
 def minimal_smooth_threshold(params: SemigroupParams, cap: int | None = None,
                              workers: int = 1, node_budget: int = DEFAULT_NODE_BUDGET,
                              cache: ResultCache | str | Path | None = None) -> InvariantResult:
     """Least length from which every minimal idempotent-sum sequence is smooth."""
-    cache = _as_cache(cache)
-    if cap is None:
-        cap = default_minimal_cap(params)
-    if cap < 1:
-        raise DomainError(f"cap must be >= 1, got {cap}")
-    if cache is not None:
-        hit = cache.load("minimal_smooth", params.k, params.n, cap)
-        if hit is not None:
-            return InvariantResult.from_json_dict(hit)
-    if params.k == 1 and params.n == 1:
-        result = InvariantResult(MINIMAL_SMOOTH, 1, 1, 1, cap, False, (), 0,
-                                 (0,) * (cap + 1), (0,) * (cap + 1))
-        return _finish_invariant("minimal_smooth", result, cache, 1, 1, cap)
-    mode = 1 if params.k > params.n else 2
-    merged = _run_scan(params, cap, 0, mode, workers, node_budget)
-    result = _invariant_from_scan(MINIMAL_SMOOTH, params, cap, merged, "minimal", params.k)
-    return _finish_invariant("minimal_smooth", result, cache, params.k, params.n, cap)
+    return _threshold(MINIMAL_SMOOTH, params, cap, workers, node_budget, cache)
 
 
 def index_threshold(n: int, cap: int | None = None,
@@ -429,19 +445,7 @@ def index_threshold(n: int, cap: int | None = None,
     Computed over the residue group of order n, represented by the
     semigroup with index 1.
     """
-    cache = _as_cache(cache)
-    params = SemigroupParams(1, n)
-    if cap is None:
-        cap = default_minimal_cap(params)
-    if cap < 1:
-        raise DomainError(f"cap must be >= 1, got {cap}")
-    if cache is not None:
-        hit = cache.load("index", 1, n, cap)
-        if hit is not None:
-            return InvariantResult.from_json_dict(hit)
-    merged = _run_scan(params, cap, 0, 3, workers, node_budget)
-    result = _invariant_from_scan(INDEX, params, cap, merged, "minimal", 1)
-    return _finish_invariant("index", result, cache, 1, n, cap)
+    return _threshold(INDEX, SemigroupParams(1, n), cap, workers, node_budget, cache)
 
 
 def search_bad_sequences(params: SemigroupParams, kind: str, cap: int | None = None,
@@ -614,6 +618,37 @@ def generate_family(params: SemigroupParams, family_id: str) -> Sequence:
 # ---------------------------------------------------------------------------
 # open-regime exploration and parameter sweeps
 
+ROW_COLUMNS = (
+    "k", "n", "regime", "free_smooth", "minimal_smooth",
+    "free_smooth_lo", "free_smooth_hi", "minimal_smooth_lo", "minimal_smooth_hi",
+    "free_frontier_hit", "minimal_frontier_hit",
+)
+
+SWEEP_COLUMNS = ROW_COLUMNS + ("status",)
+
+
+def _bounds_row(k: int, n: int, results) -> tuple[dict, bool]:
+    """The ROW_COLUMNS row of one pair, and whether both values lie within the bounds.
+
+    results is the (free-smooth, minimal-smooth) pair of InvariantResults,
+    or None for a refused search, which leaves the computed columns empty.
+    """
+    expected = expected_thresholds(k, n)
+    row = {"k": k, "n": n, "regime": regime_label(k, n), **expected}
+    within = results is not None
+    for kind, result in zip(("free", "minimal"), results or (None, None)):
+        row[f"{kind}_smooth"] = None if result is None else result.value
+        row[f"{kind}_frontier_hit"] = None if result is None else result.frontier_hit
+        within = within and (expected[f"{kind}_smooth_lo"] <= result.value
+                             <= expected[f"{kind}_smooth_hi"])
+    return row, within
+
+
+def _both_thresholds(params, cap, workers, node_budget, cache):
+    return (free_smooth_threshold(params, cap, workers, node_budget, cache),
+            minimal_smooth_threshold(params, cap, workers, node_budget, cache))
+
+
 def explore_bounds(pairs, cap: int | None = None, workers: int = 1,
                    node_budget: int = DEFAULT_NODE_BUDGET,
                    cache: ResultCache | str | Path | None = None) -> list[dict]:
@@ -626,36 +661,12 @@ def explore_bounds(pairs, cap: int | None = None, workers: int = 1,
     for k, n in pairs:
         if not k > n >= 3:
             raise DomainError(f"exploration requires k > n >= 3, got ({k}, {n})")
-        params = SemigroupParams(k, n)
-        expected = expected_thresholds(k, n)
-        free = free_smooth_threshold(params, cap, workers, node_budget, cache)
-        minimal = minimal_smooth_threshold(params, cap, workers, node_budget, cache)
-        within = (expected["free_smooth_lo"] <= free.value <= expected["free_smooth_hi"]
-                  and expected["minimal_smooth_lo"] <= minimal.value
-                  <= expected["minimal_smooth_hi"]
-                  and not free.frontier_hit and not minimal.frontier_hit)
-        rows.append({
-            "k": k,
-            "n": n,
-            "regime": regime_label(k, n),
-            "free_smooth": free.value,
-            "minimal_smooth": minimal.value,
-            "free_smooth_lo": expected["free_smooth_lo"],
-            "free_smooth_hi": expected["free_smooth_hi"],
-            "minimal_smooth_lo": expected["minimal_smooth_lo"],
-            "minimal_smooth_hi": expected["minimal_smooth_hi"],
-            "free_frontier_hit": free.frontier_hit,
-            "minimal_frontier_hit": minimal.frontier_hit,
-            "within_bounds": within,
-        })
+        row, within = _bounds_row(k, n, _both_thresholds(SemigroupParams(k, n), cap, workers,
+                                                         node_budget, cache))
+        row["within_bounds"] = (within and not row["free_frontier_hit"]
+                                and not row["minimal_frontier_hit"])
+        rows.append(row)
     return rows
-
-
-SWEEP_COLUMNS = (
-    "k", "n", "regime", "free_smooth", "minimal_smooth",
-    "free_smooth_lo", "free_smooth_hi", "minimal_smooth_lo", "minimal_smooth_hi",
-    "free_frontier_hit", "minimal_frontier_hit", "status",
-)
 
 
 def sweep(pairs, cap: int | None = None, workers: int = 1,
@@ -670,36 +681,11 @@ def sweep(pairs, cap: int | None = None, workers: int = 1,
     rows = []
     for k, n in sorted(set(pairs)):
         params = SemigroupParams(k, n)
-        expected = expected_thresholds(k, n)
-        row = {
-            "k": k,
-            "n": n,
-            "regime": regime_label(k, n),
-            "free_smooth": None,
-            "minimal_smooth": None,
-            "free_smooth_lo": expected["free_smooth_lo"],
-            "free_smooth_hi": expected["free_smooth_hi"],
-            "minimal_smooth_lo": expected["minimal_smooth_lo"],
-            "minimal_smooth_hi": expected["minimal_smooth_hi"],
-            "free_frontier_hit": None,
-            "minimal_frontier_hit": None,
-            "status": "ok",
-        }
         try:
-            free = free_smooth_threshold(params, cap, workers, node_budget, cache)
-            minimal = minimal_smooth_threshold(params, cap, workers, node_budget, cache)
+            results = _both_thresholds(params, cap, workers, node_budget, cache)
         except BudgetError:
-            row["status"] = "refused"
-        else:
-            row["free_smooth"] = free.value
-            row["minimal_smooth"] = minimal.value
-            row["free_frontier_hit"] = free.frontier_hit
-            row["minimal_frontier_hit"] = minimal.frontier_hit
-            within = (expected["free_smooth_lo"] <= free.value
-                      <= expected["free_smooth_hi"]
-                      and expected["minimal_smooth_lo"] <= minimal.value
-                      <= expected["minimal_smooth_hi"])
-            if not within:
-                row["status"] = "out-of-bounds"
+            results = None
+        row, within = _bounds_row(k, n, results)
+        row["status"] = "refused" if results is None else "ok" if within else "out-of-bounds"
         rows.append(row)
     return rows

@@ -199,15 +199,18 @@ def test_budget_refusal_exit(capsys):
                            "--budget", "10")
     assert code == 3 and err.startswith("refused:")
 
-    # the budget counts visited nodes over all shards, whatever the workers
-    errs = set()
-    for workers in ("1", "2"):
-        code, out, err = run_cli(capsys, "verify", "--k", "5", "--n", "3",
-                                 "--max-length", "8", "--budget", "100",
-                                 "--workers", workers)
-        assert code == 3 and out == "" and err.startswith("refused:")
-        errs.add(err)
-    assert len(errs) == 1
+    # the budget counts visited nodes over all shards, whatever the workers:
+    # C_{9;9}'s minimal-smooth search visits 11558 nodes, its largest shard 3010
+    for argv in (("verify", "--k", "5", "--n", "3", "--max-length", "8",
+                  "--budget", "100"),
+                 ("invariant", "--which", "minimal-smooth", "--k", "9", "--n", "9",
+                  "--budget", "5000")):
+        errs = set()
+        for workers in ("1", "2", "8"):
+            code, out, err = run_cli(capsys, *argv, "--workers", workers)
+            assert code == 3 and out == "" and err.startswith("refused:")
+            errs.add(err)
+        assert len(errs) == 1
 
 
 def test_argparse_native_errors(capsys):
@@ -230,6 +233,41 @@ def test_cache_dir_flag(tmp_path, capsys):
     assert (tmp_path / "free_smooth_k7_n5_c14.json").exists()
     code, second, _ = run_cli(capsys, *args)
     assert code == 0 and second == first
+
+
+def test_corrupt_cache_file_is_recomputed(tmp_path, capsys):
+    args = ("invariant", "--which", "free-smooth", "--k", "7", "--n", "5",
+            "--cache-dir", str(tmp_path))
+    code, first, _ = run_cli(capsys, *args)
+    path = tmp_path / "free_smooth_k7_n5_c14.json"
+    truncated = path.read_text(encoding="utf-8")[:40]
+    mistyped = json.dumps({**json.loads(first), "witnesses": [5]})
+    for text in (truncated, mistyped):
+        path.write_text(text, encoding="utf-8")
+        code, second, err = run_cli(capsys, *args)
+        assert code == 0 and err == "" and second == first
+        assert json.loads(path.read_text(encoding="utf-8")) == json.loads(first)
+
+
+def test_mismatched_cache_file_is_recomputed(tmp_path, capsys):
+    # a file that answers another request is a miss, not a stale answer
+    cache = ("--cache-dir", str(tmp_path))
+    for served, asked in [
+            (("invariant", "--which", "free-smooth", "--k", "5", "--n", "3"),
+             ("invariant", "--which", "free-smooth", "--k", "6", "--n", "3")),
+            (("verify", "--what", "structure", "--k", "5", "--n", "3"),
+             ("verify", "--what", "cases", "--k", "5", "--n", "3"))]:
+        before = set(tmp_path.iterdir())
+        run_cli(capsys, *served, *cache)
+        written, = set(tmp_path.iterdir()) - before
+        code, fresh, _ = run_cli(capsys, *asked)
+        assert code == 0
+        code, _, _ = run_cli(capsys, *asked, *cache)
+        target, = set(tmp_path.iterdir()) - before - {written}
+        shutil.copy(written, target)
+        code, out, err = run_cli(capsys, *asked, *cache)
+        assert code == 0 and err == "" and out == fresh
+        assert json.loads(target.read_text(encoding="utf-8")) == json.loads(fresh)
 
 
 def test_cache_dir_env(tmp_path, capsys, monkeypatch):

@@ -8,6 +8,7 @@ from idemfree import (
     ResultCache,
     SemigroupParams,
     Sequence,
+    backend_name,
     classify,
     critical_length,
     expected_thresholds,
@@ -94,6 +95,45 @@ def test_verify_structure_examples():
     assert verify_structure(P(7, 1), 6).counterexamples == ()
     with pytest.raises(DomainError):
         verify_structure(P(5, 3), 3)
+
+
+def test_kernels_are_pure_python():
+    assert backend_name() == "python"
+
+
+@pytest.mark.parametrize("k,n", [(k, n) for k in range(1, 8) for n in range(1, 8 - k)])
+def test_scan_minimal_counts_match_oracle(k, n):
+    # the scan decides minimality from the parent's exact mask; count every
+    # minimal idempotent-sum multiset up to the default cap by brute force
+    p = P(k, n)
+    cap = default_minimal_cap(p)
+    out = _kernels.scan(p.size, n, p.threshold, cap, 1, p.size, 0, 1, 10**8)
+    want = [0] * (cap + 1)
+    for indices in oracles.all_multisets(p.size, cap):
+        if oracles.minimal_idempotent_sum_oracle(k, n, indices):
+            want[len(indices)] += 1
+    assert out["minimal_count_by_len"] == want
+
+
+def test_kernels_handle_wide_masks():
+    # threshold + universe >= 64: the masks outgrow a machine word
+    p = P(60, 2)
+    out = _kernels.scan(p.size, 2, p.threshold, 2, 1, 4, 1, 0, 10**6)
+    free = [0, 4, sum(oracles.idempotent_sum_free_oracle(60, 2, (a, b))
+                      for a in range(1, 5) for b in range(a, p.size + 1))]
+    assert out["free_count_by_len"] == free
+    values = [40, 50, 61]
+    sums = oracles.subset_sums(values)
+    assert _kernels.profile(values, 60, 5) == (
+        sum(1 << s for s in sums if s < 60),
+        sum(1 << r for r in {s % 5 for s in sums if s >= 60}))
+
+
+def test_scan_budget_error_text():
+    p = P(9, 9)
+    with pytest.raises(BudgetError) as err:
+        _kernels.scan(p.size, 9, 9, 18, 1, p.size, 2, 2, 50)
+    assert str(err.value) == "enumeration aborted: visited multisets exceed the node budget 50"
 
 
 def test_verify_engine_detects_violations_below_bound():
