@@ -1,9 +1,15 @@
-"""Enumeration kernels: subset-sum profiles and one multiset DFS.
+"""Enumeration kernels, and the one home of each sequence predicate.
 
 Self-contained integer routines shared by the higher-level modules.
 Subset sums are tracked as bitmasks: bit s of the exact mask marks an
 achievable nonempty subsequence index-sum s below the cap, bit r of the
 high mask marks an achievable sum >= cap with residue r mod the period.
+
+This module is the one home of each sequence predicate that classify and
+the DFS share: the subset-sum step (profile_step), the generator table
+(generator_rows), the 1-smooth ladder test (is_one_smooth_sorted) and the
+minimality rule (is_minimal_extension); idemfree.classify checks outside
+input and calls them.
 
 scan() and verify_window() walk the same depth-first enumeration of
 nondecreasing multisets (_Dfs) and differ only in what each visited
@@ -22,14 +28,16 @@ Free/minimal/bad classification modes for scan():
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb, gcd
 
 from idemfree.errors import BudgetError
 
 WITNESS_LIMIT = 200
 
-__all__ = ["WITNESS_LIMIT", "backend_name", "over_budget", "profile", "profile_step",
-           "scan", "verify_window"]
+__all__ = ["WITNESS_LIMIT", "backend_name", "generator_rows", "is_minimal",
+           "is_minimal_extension", "is_one_smooth_sorted", "over_budget", "period_multiples",
+           "profile", "profile_step", "scan", "smooth_for_some_generator", "verify_window"]
 
 
 def backend_name() -> str:
@@ -65,27 +73,81 @@ def profile(values, cap: int, period: int) -> tuple[int, int]:
     return exact, high
 
 
-def _decomposition_tables(universe: int, period: int) -> list[list[int]]:
-    """Per-generator lookup of the multiplier n_i with index*inv(g) = n_i mod period."""
-    tables = []
+@lru_cache(maxsize=32)
+def generator_rows(period: int, top: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(g, row) for each generator g of the integers mod period, least g first.
+
+    row[e], for 0 <= e <= top, is the multiplier m in [1, period] with
+    m*g = e mod period.  row[0] == period, and one row decomposes indices
+    and residues alike.  The period-1 group has no generator.
+    """
+    # every row holds these int objects, so an entry costs one pointer
+    multipliers = [period, *range(1, period)]
+    rows = []
     for g in range(1, period):
-        if gcd(g, period) != 1:
-            continue
-        inv = pow(g, -1, period)
-        row = [0] * (universe + 1)
-        for e in range(1, universe + 1):
-            row[e] = (e * inv) % period or period
-        tables.append(row)
-    return tables
+        if gcd(g, period) == 1:
+            inv = pow(g, -1, period)
+            rows.append((g, tuple(multipliers[e * inv % period] for e in range(top + 1))))
+    return tuple(rows)
 
 
-def _is_one_smooth_sorted(values) -> bool:
+def is_one_smooth_sorted(values) -> bool:
+    """Whether each term of a nondecreasing multiset is at most 1 + the sum before it."""
     reach = 0
     for v in values:
         if v > reach + 1:
             return False
         reach += v
     return True
+
+
+def smooth_for_some_generator(rows, values, period: int, zero_sum: bool) -> bool:
+    """Whether some row makes values a 1-smooth ladder: total period if zero_sum, else below."""
+    for _, row in rows:
+        ds = sorted(row[v] for v in values)
+        total = sum(ds)
+        if (total == period if zero_sum else total < period) and is_one_smooth_sorted(ds):
+            return True
+    return False
+
+
+def period_multiples(threshold: int, period: int) -> int:
+    """The mask of bits period, 2*period, ... below the threshold."""
+    # a base-2**period repunit, shifted
+    count = (threshold - 1) // period
+    return (((1 << count * period) - 1) // ((1 << period) - 1)) << period
+
+
+def is_minimal_extension(parent_exact: int, total: int, threshold: int, period: int,
+                         multiples: int) -> bool:
+    """Whether S = P + x, with P free, is minimal idempotent-sum.
+
+    parent_exact is P's exact mask, total S's index total and multiples
+    period_multiples(threshold, period).  S is idempotent-sum iff t <= total
+    and n | total.  Then S is minimal iff no nonempty C within P has
+    n | sum(C) <= total - t: such a C makes S - C idempotent-sum while it
+    misses a term of C; conversely an idempotent-sum T within some S - y
+    holds x (P is free), so C = S - T lies in P.  Every such sum(C) is
+    below t (else C would make P not free), so the test reads P's exact
+    mask.  Any term of S may serve as x.
+    """
+    if total < threshold or total % period:
+        return False
+    return not parent_exact & multiples & ((2 << (total - threshold)) - 1)
+
+
+def is_minimal(values, threshold: int, period: int) -> bool:
+    """Whether a nonempty nondecreasing index multiset is minimal idempotent-sum.
+
+    Takes the largest term as x of is_minimal_extension: S is minimal iff
+    it is idempotent-sum, P = S - x is free and the mask test passes.
+    """
+    total = sum(values)
+    if total < threshold or total % period:
+        return False
+    exact, high = profile(values[:-1], threshold, period)
+    return not high & 1 and is_minimal_extension(exact, total, threshold, period,
+                                                 period_multiples(threshold, period))
 
 
 class _Dfs:
@@ -96,11 +158,12 @@ class _Dfs:
     the exact mask of its parent (the multiset less its last term), its
     high mask, index total and 1-smoothness; _node returns whether to
     descend.  The walk never goes past max_len terms and refuses with
-    BudgetError once it has visited more than node_budget multisets.
+    BudgetError once it has visited more than node_budget multisets, or
+    once its recursion, one call per term, hits Python's recursion limit.
     """
 
     def __init__(self, universe: int, period: int, threshold: int, max_len: int,
-                 node_budget: int, tables: bool):
+                 node_budget: int):
         self.u = universe
         self.n = period
         self.threshold = threshold
@@ -110,12 +173,16 @@ class _Dfs:
         self.nmask = (1 << period) - 1
         self.nodes = 0
         self.stack: list[int] = []
-        self.dtabs = _decomposition_tables(universe, period) if tables else []
+        self.rows = generator_rows(period, universe)
 
     def run(self, first_lo: int, first_hi: int) -> None:
-        if self.max_len >= 1:
-            for v in range(first_lo, first_hi + 1):
-                self._visit(v, 0, 0, 0, True)
+        try:
+            if self.max_len >= 1:
+                for v in range(first_lo, first_hi + 1):
+                    self._visit(v, 0, 0, 0, True)
+        except RecursionError:
+            raise BudgetError(f"enumeration aborted: a walk to length {self.max_len} "
+                              "exceeds Python's recursion limit") from None
 
     def _visit(self, v: int, exact: int, high: int, total: int, smooth: bool) -> None:
         self.nodes += 1
@@ -149,15 +216,6 @@ class _Dfs:
               smooth: bool) -> bool:
         raise NotImplementedError
 
-    def _smooth_for_some_generator(self, want_sum_period: bool) -> bool:
-        n = self.n
-        for tab in self.dtabs:
-            ds = sorted(tab[v] for v in self.stack)
-            total = sum(ds)
-            if (total == n if want_sum_period else total < n) and _is_one_smooth_sorted(ds):
-                return True
-        return False
-
 
 class _Tally:
     """Per-length counts of one kind of bad multiset, and the longest ones."""
@@ -180,49 +238,31 @@ class _Tally:
 class _Scan(_Dfs):
     def __init__(self, universe, period, threshold, max_len,
                  free_bad_mode, minimal_bad_mode, node_budget):
-        super().__init__(universe, period, threshold, max_len, node_budget,
-                         free_bad_mode == 2 or minimal_bad_mode in (2, 3))
+        super().__init__(universe, period, threshold, max_len, node_budget)
         self.free_bad_mode = free_bad_mode
         self.minimal_bad_mode = minimal_bad_mode
         self.free_count = [0] * (max_len + 1)
         self.minimal_count = [0] * (max_len + 1)
         self.free_bad = _Tally(max_len)
         self.minimal_bad = _Tally(max_len)
-        # bits n, 2n, ... below the threshold: a base-2**n repunit, shifted
-        count = (threshold - 1) // period
-        self.period_multiples = (((1 << count * period) - 1) // self.nmask) << period
+        self.multiples = period_multiples(threshold, period)
 
     def _index_is_one(self) -> bool:
-        if not self.dtabs:
-            return True
         n = self.n
-        return any(sum(tab[v] for v in self.stack) == n for tab in self.dtabs)
-
-    def _is_minimal(self, parent_exact: int, total: int) -> bool:
-        """Whether S = stack, whose parent P = S - last is free, is minimal idempotent-sum.
-
-        S is idempotent-sum iff t <= total and n | total.  Then S is minimal
-        iff no nonempty C within P has n | sum(C) <= total - t: such a C
-        makes S - C idempotent-sum while it misses a term of C, and an
-        idempotent-sum T within S - x holds last (P is free), so C = S - T
-        lies in P.  Every such sum(C) is below t (else C would make P not
-        free), so the test reads P's exact mask.
-        """
-        t = self.threshold
-        if total < t or total % self.n:
-            return False
-        return not parent_exact & self.period_multiples & ((2 << (total - t)) - 1)
+        return not self.rows or any(sum(row[v] for v in self.stack) == n
+                                    for _, row in self.rows)
 
     def _node(self, depth, parent_exact, high, total, smooth):
         if high & 1:
             # not free: a minimal idempotent-sum candidate, then prune
             mode = self.minimal_bad_mode
-            if mode and self._is_minimal(parent_exact, total):
+            if mode and is_minimal_extension(parent_exact, total, self.threshold, self.n,
+                                             self.multiples):
                 self.minimal_count[depth] += 1
                 if mode == 1:
                     bad = not smooth
                 elif mode == 2:
-                    bad = not self._smooth_for_some_generator(want_sum_period=True)
+                    bad = not smooth_for_some_generator(self.rows, self.stack, self.n, True)
                 else:
                     bad = not self._index_is_one()
                 if bad:
@@ -234,7 +274,7 @@ class _Scan(_Dfs):
             if mode == 1:
                 bad = not smooth
             else:
-                bad = not self._smooth_for_some_generator(want_sum_period=False)
+                bad = not smooth_for_some_generator(self.rows, self.stack, self.n, False)
             if bad:
                 self.free_bad.record(self.stack)
         return True
@@ -270,7 +310,7 @@ def scan(universe: int, period: int, threshold: int, max_len: int,
 class _Verify(_Dfs):
     def __init__(self, universe, period, threshold, tail_regime,
                  len_lo, len_hi, node_budget, settle, shapes):
-        super().__init__(universe, period, threshold, len_hi, node_budget, not tail_regime)
+        super().__init__(universe, period, threshold, len_hi, node_budget)
         self.tail_regime = tail_regime
         self.len_lo = len_lo
         self.total = 0
@@ -292,7 +332,7 @@ class _Verify(_Dfs):
             if self.tail_regime:
                 predicted = smooth and total <= self.threshold - 1
             else:
-                predicted = self._smooth_for_some_generator(want_sum_period=False)
+                predicted = smooth_for_some_generator(self.rows, self.stack, self.n, False)
             if self.settle:
                 self.condition_hits += predicted
                 if self.shape_labels:

@@ -3,13 +3,18 @@
 Idempotent-sum predicates on semigroup sequences, smoothness tests (plain
 1-smoothness of the index multiset, generator-scaled smoothness of the
 residue multiset), the rational sequence index, and an aggregate report.
+
+Each public function here checks its outside input and calls
+idemfree._kernels, which owns the predicates the enumeration shares: the
+subset-sum step, the generator table, the 1-smooth ladder test and the
+minimality rule.  The group-side predicates run on the lift of residues
+into C_{1;n}, where zero-sum means idempotent-sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from idemfree import _kernels
 from idemfree.errors import DomainError
@@ -91,12 +96,8 @@ def idempotent_sum_witness(seq: Sequence) -> Sequence | None:
 
 def is_minimal_idempotent_sum(seq: Sequence) -> bool:
     """Idempotent-sum with every single-term removal left free."""
-    if not is_idempotent_sum(seq):
-        return False
-    for value in sorted(set(seq.indices)):
-        if not is_idempotent_sum_free(seq.without_one(value)):
-            return False
-    return True
+    params = seq.params
+    return is_idempotent_sum(seq) and _kernels.is_minimal(seq.indices, params.threshold, params.n)
 
 
 def is_one_smooth(values) -> bool:
@@ -110,29 +111,44 @@ def is_one_smooth(values) -> bool:
         raise DomainError("1-smoothness is defined for nonempty multisets")
     if ordered[0] < 1:
         raise DomainError("1-smoothness is defined for positive integers")
-    reach = 0
-    for v in ordered:
-        if v > reach + 1:
-            return False
-        reach += v
-    return True
+    return _kernels.is_one_smooth_sorted(ordered)
+
+
+def _generator_rows(period: int):
+    """The kernel's generator table over the residues mod period."""
+    if period < 2:
+        raise DomainError(f"residue group of period {period} has no generators")
+    return _kernels.generator_rows(period, period - 1)
+
+
+def _decompositions(period: int, residues) -> dict[int, tuple[int, ...]]:
+    """Each generator g, least first, to the sorted multipliers of the residues by g."""
+    rows = _generator_rows(period)
+    residues = tuple(residues)
+    for r in residues:
+        if not 0 <= r < period:
+            raise DomainError(f"residue {r} outside [0, {period})")
+    return {g: tuple(sorted(row[r] for r in residues)) for g, row in rows}
+
+
+def _kind(period: int, parts: tuple[int, ...]) -> str:
+    if not parts:
+        raise DomainError("smoothness is defined for nonempty multisets")
+    total = sum(parts)
+    if total > period or not _kernels.is_one_smooth_sorted(parts):
+        return NOT_SMOOTH
+    return ZERO_SUM_SMOOTH if total == period else SMOOTH
 
 
 def generators(period: int) -> tuple[int, ...]:
-    if period < 2:
-        raise DomainError(f"residue group of period {period} has no generators")
-    return tuple(g for g in range(1, period) if gcd(g, period) == 1)
+    return tuple(g for g, _ in _generator_rows(period))
 
 
 def decompose(period: int, residues, g: int) -> tuple[int, ...]:
     """Multipliers n_i in [1, period] with n_i * g = r mod period, sorted."""
     if g not in generators(period):
         raise DomainError(f"{g} does not generate the residue group of period {period}")
-    for r in residues:
-        if not 0 <= r < period:
-            raise DomainError(f"residue {r} outside [0, {period})")
-    inv = pow(g, -1, period)
-    return tuple(sorted((r * inv) % period or period for r in residues))
+    return _decompositions(period, residues)[g]
 
 
 def smooth_kind(period: int, residues, g: int) -> str:
@@ -141,24 +157,13 @@ def smooth_kind(period: int, residues, g: int) -> str:
     "smooth" means the multipliers form a 1-smooth multiset with total
     below the period, "zero-sum-smooth" means total exactly the period.
     """
-    parts = decompose(period, residues, g)
-    if not parts:
-        raise DomainError("smoothness is defined for nonempty multisets")
-    total = sum(parts)
-    if total > period:
-        return NOT_SMOOTH
-    reach = 0
-    for v in parts:
-        if v > reach + 1:
-            return NOT_SMOOTH
-        reach += v
-    return ZERO_SUM_SMOOTH if total == period else SMOOTH
+    return _kind(period, decompose(period, residues, g))
 
 
 def find_smooth_generator(period: int, residues) -> tuple[int, str] | None:
     """Least generator whose scaled ladder fits, with the kind, else None."""
-    for g in generators(period):
-        kind = smooth_kind(period, residues, g)
+    for g, parts in _decompositions(period, residues).items():
+        kind = _kind(period, parts)
         if kind != NOT_SMOOTH:
             return g, kind
     return None
@@ -171,34 +176,28 @@ def sequence_norm(period: int, residues, g: int) -> Fraction:
 
 def sequence_index(period: int, residues) -> Fraction:
     """Least norm over all generators of the residue group."""
-    return min(sequence_norm(period, residues, g) for g in generators(period))
+    return Fraction(min(map(sum, _decompositions(period, residues).values())), period)
+
+
+def _lift(period: int, residues) -> tuple[int, ...]:
+    """The residues as indices of C_{1;period}, 0 lifted to period, sorted."""
+    if period < 1:
+        raise DomainError(f"period must be >= 1, got {period}")
+    return tuple(sorted(r % period or period for r in residues))
 
 
 def zero_sum_free(period: int, residues) -> bool:
     """No nonempty subsequence of residues sums to 0 mod the period."""
-    if period < 1:
-        raise DomainError(f"period must be >= 1, got {period}")
-    full = (1 << period) - 1
-    reach = 0
-    for r in residues:
-        r %= period
-        reach |= (((reach << r) | (reach >> (period - r))) & full) | (1 << r)
-    return not reach & 1
+    _, high = _kernels.profile(_lift(period, residues), period, period)
+    return not high & 1
 
 
 def minimal_zero_sum(period: int, residues) -> bool:
     """Residues sum to 0 mod the period, all single-removals zero-sum free."""
-    values = tuple(sorted(residues))
-    if not values:
+    residues = tuple(residues)
+    if not residues:
         raise DomainError("the empty sequence is not a zero-sum candidate")
-    if sum(values) % period:
-        return False
-    for i, r in enumerate(values):
-        if i and r == values[i - 1]:
-            continue
-        if not zero_sum_free(period, values[:i] + values[i + 1:]):
-            return False
-    return True
+    return _kernels.is_minimal(_lift(period, residues), period, period)
 
 
 def structure_condition(seq: Sequence) -> bool:
@@ -214,10 +213,8 @@ def structure_condition(seq: Sequence) -> bool:
         raise DomainError("the structure condition is defined for nonempty sequences")
     if params.k > params.n:
         return is_one_smooth(seq.indices) and seq.total <= params.threshold - 1
-    if params.n == 1:
-        return False
-    return any(smooth_kind(params.n, seq.residues(), g) == SMOOTH
-               for g in generators(params.n))
+    return _kernels.smooth_for_some_generator(_kernels.generator_rows(params.n, params.n - 1),
+                                              seq.residues(), params.n, zero_sum=False)
 
 
 @dataclass(frozen=True)

@@ -177,18 +177,10 @@ class InvariantResult:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> InvariantResult:
-        return cls(
-            which=payload["which"],
-            k=payload["k"],
-            n=payload["n"],
-            value=payload["value"],
-            search_cap=payload["search_cap"],
-            frontier_hit=payload["frontier_hit"],
-            witnesses=tuple(parse_index_multiset(w) for w in payload["witnesses"]),
-            witness_total=payload["witness_total"],
-            bad_by_length=tuple(payload["bad_by_length"]),
-            candidate_by_length=tuple(payload["candidate_by_length"]),
-        )
+        return cls(**{**payload,
+                      "witnesses": tuple(parse_index_multiset(w) for w in payload["witnesses"]),
+                      "bad_by_length": tuple(payload["bad_by_length"]),
+                      "candidate_by_length": tuple(payload["candidate_by_length"])})
 
 
 @dataclass(frozen=True)
@@ -219,17 +211,8 @@ class VerificationReport:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> VerificationReport:
-        return cls(
-            check=payload["check"],
-            k=payload["k"],
-            n=payload["n"],
-            min_length=payload["min_length"],
-            max_length=payload["max_length"],
-            total_sequences=payload["total_sequences"],
-            counterexamples=tuple(parse_index_multiset(c)
-                                  for c in payload["counterexamples"]),
-            case_tallies=payload["case_tallies"],
-        )
+        return cls(**{**payload, "counterexamples": tuple(parse_index_multiset(c)
+                                                          for c in payload["counterexamples"])})
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +276,19 @@ _CACHE_OPS = {
 }
 
 
-def _as_cache(cache: ResultCache | str | Path | None) -> ResultCache | None:
-    if cache is None or isinstance(cache, ResultCache):
-        return cache
-    return ResultCache(cache)
+def _cached(op: str, params: SemigroupParams, cap: int,
+            cache: ResultCache | str | Path | None, compute):
+    """The result of (op, k, n, cap) from the cache, else compute() stored there."""
+    if cache is not None and not isinstance(cache, ResultCache):
+        cache = ResultCache(cache)
+    if cache is not None:
+        hit = cache.load(op, params.k, params.n, cap)
+        if hit is not None:
+            return _CACHE_OPS[op][0].from_json_dict(hit)
+    result = compute()
+    if cache is not None:
+        cache.store(op, params.k, params.n, cap, result.to_json_dict())
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -348,79 +340,56 @@ def _settle_window(params: SemigroupParams, tail_regime: bool, len_lo: int, len_
         params.size, workers, node_budget)
 
 
-def _merge_scans(results: list[dict], max_len: int) -> dict:
-    merged = {
-        "free_count_by_len": [0] * (max_len + 1),
-        "minimal_count_by_len": [0] * (max_len + 1),
-        "free_bad_by_len": [0] * (max_len + 1),
-        "minimal_bad_by_len": [0] * (max_len + 1),
-    }
-    for key in ("free", "minimal"):
-        best_len = max((r[f"{key}_bad_len"] for r in results), default=0)
-        pool: list[tuple[int, ...]] = []
-        for r in results:
-            if r[f"{key}_bad_len"] == best_len:
-                pool.extend(tuple(w) for w in r[f"{key}_bad_witnesses"])
-        pool.sort()
-        merged[f"{key}_bad_len"] = best_len
-        merged[f"{key}_bad_witnesses"] = pool[:_kernels.WITNESS_LIMIT]
-    for r in results:
-        for key in ("free_count_by_len", "minimal_count_by_len",
-                    "free_bad_by_len", "minimal_bad_by_len"):
-            for i, c in enumerate(r[key]):
-                merged[key][i] += c
-    return merged
-
-
 # ---------------------------------------------------------------------------
 # invariants
 
 def _threshold(which: str, params: SemigroupParams, cap: int | None, workers: int,
                node_budget: int, cache: ResultCache | str | Path | None) -> InvariantResult:
     """The three threshold searches: cap default, cache lookup, scan, cache store."""
-    cache = _as_cache(cache)
-    op = which.replace("-", "_")
     kind = "free" if which == FREE_SMOOTH else "minimal"
     if cap is None:
         cap = default_free_cap(params) if kind == "free" else default_minimal_cap(params)
     if cap < 1:
         raise DomainError(f"cap must be >= 1, got {cap}")
-    if cache is not None:
-        hit = cache.load(op, params.k, params.n, cap)
-        if hit is not None:
-            return InvariantResult.from_json_dict(hit)
-    if which != INDEX and params.k == params.n == 1:
-        # C_{1;1}: no sequence is free and the single term is the only minimal one
-        result = InvariantResult(which, 1, 1, 0 if kind == "free" else 1, cap, False, (), 0,
-                                 (0,) * (cap + 1), (0,) * (cap + 1))
-    else:
+
+    def compute() -> InvariantResult:
+        if which != INDEX and params.k == params.n == 1:
+            # C_{1;1}: no sequence is free and the single term is the only minimal one
+            return InvariantResult(which, 1, 1, 0 if kind == "free" else 1, cap, False, (), 0,
+                                   (0,) * (cap + 1), (0,) * (cap + 1))
         if which == INDEX:
             modes = (0, 3)
         else:
             mode = 1 if params.k > params.n else 2
             modes = (mode, 0) if kind == "free" else (0, mode)
-        merged = _merge_scans(_run_sharded(
+        results = _run_sharded(
             _scan_shard,
             lambda lo, hi: (params.size, params.n, params.threshold, cap, lo, hi,
                             *modes, node_budget),
-            params.size, workers, node_budget), cap)
-        bad_by_len = merged[f"{kind}_bad_by_len"]
-        best_len = merged[f"{kind}_bad_len"]
-        result = InvariantResult(
+            params.size, workers, node_budget)
+
+        def summed(key: str) -> tuple[int, ...]:
+            return tuple(map(sum, zip(*(r[f"{kind}_{key}"] for r in results))))
+
+        # shards merge by summing per-length counts and pooling the longest witnesses
+        bad_by_len = summed("bad_by_len")
+        best_len = max(r[f"{kind}_bad_len"] for r in results)
+        witnesses = sorted(tuple(w) for r in results if r[f"{kind}_bad_len"] == best_len
+                           for w in r[f"{kind}_bad_witnesses"])
+        return InvariantResult(
             which=which,
             k=params.k,
             n=params.n,
             value=best_len + 1,
             search_cap=cap,
             frontier_hit=bad_by_len[cap] > 0,
-            witnesses=tuple(merged[f"{kind}_bad_witnesses"]),
+            witnesses=tuple(witnesses[:_kernels.WITNESS_LIMIT]),
             witness_total=bad_by_len[best_len] if best_len else 0,
-            bad_by_length=tuple(bad_by_len),
-            candidate_by_length=tuple(merged[f"{kind}_count_by_len"]),
+            bad_by_length=bad_by_len,
+            candidate_by_length=summed("count_by_len"),
         )
-    if cache is not None:
-        cache.store(op, params.k, params.n, cap, result.to_json_dict())
-    return result
+
+    return _cached(which.replace("-", "_"), params, cap, cache, compute)
 
 
 def free_smooth_threshold(params: SemigroupParams, cap: int | None = None,
@@ -470,36 +439,31 @@ def verify_structure(params: SemigroupParams, max_length: int | None = None,
     The window starts at the proven structure bound; max_length defaults to
     bound+3.
     """
-    cache = _as_cache(cache)
     bound = structure_bound(params)
     if max_length is None:
         max_length = bound + 3
     if max_length < bound:
         raise DomainError(f"max_length {max_length} below the structure bound {bound}")
-    if cache is not None:
-        hit = cache.load("verify_structure", params.k, params.n, max_length)
-        if hit is not None:
-            return VerificationReport.from_json_dict(hit)
-    results = _settle_window(params, params.k > params.n, bound, max_length,
-                             workers, node_budget)
-    violations: list[tuple[int, ...]] = []
-    for r in results:
-        violations.extend(tuple(v) for v in r["violations"])
-    violations.sort()
-    report = VerificationReport(
-        check="structure",
-        k=params.k,
-        n=params.n,
-        min_length=bound,
-        max_length=max_length,
-        total_sequences=sum(r["total"] for r in results),
-        counterexamples=tuple(violations),
-        case_tallies=None,
-    )
-    if cache is not None:
-        cache.store("verify_structure", params.k, params.n, max_length,
-                    report.to_json_dict())
-    return report
+
+    def compute() -> VerificationReport:
+        results = _settle_window(params, params.k > params.n, bound, max_length,
+                                 workers, node_budget)
+        violations: list[tuple[int, ...]] = []
+        for r in results:
+            violations.extend(tuple(v) for v in r["violations"])
+        violations.sort()
+        return VerificationReport(
+            check="structure",
+            k=params.k,
+            n=params.n,
+            min_length=bound,
+            max_length=max_length,
+            total_sequences=sum(r["total"] for r in results),
+            counterexamples=tuple(violations),
+            case_tallies=None,
+        )
+
+    return _cached("verify_structure", params, max_length, cache, compute)
 
 
 def case_shapes(params: SemigroupParams) -> list[tuple[str, tuple[int, ...]]]:
@@ -546,32 +510,28 @@ def verify_critical_cases(params: SemigroupParams,
     free sequence matching no case or a non-free sequence matching some
     case.
     """
-    cache = _as_cache(cache)
     if params.k <= params.n:
         raise DomainError("the case split applies only when the index exceeds the period")
     lo = critical_length(params)
     hi = max(lo, max_free_length(params))
-    if cache is not None:
-        hit = cache.load("verify_cases", params.k, params.n, hi)
-        if hit is not None:
-            return VerificationReport.from_json_dict(hit)
-    result, = _settle_window(params, True, lo, hi, 1, node_budget, case_shapes(params))
-    tallies = {label: 0 for label in CASE_LABELS}
-    tallies[CASE_SMOOTH_BELOW_THRESHOLD] = result["condition_hits"]
-    tallies.update(result["shape_hits"])
-    report = VerificationReport(
-        check="critical-cases",
-        k=params.k,
-        n=params.n,
-        min_length=lo,
-        max_length=hi,
-        total_sequences=result["total"],
-        counterexamples=tuple(sorted(result["violations"], key=lambda v: (len(v), v))),
-        case_tallies=tallies,
-    )
-    if cache is not None:
-        cache.store("verify_cases", params.k, params.n, hi, report.to_json_dict())
-    return report
+
+    def compute() -> VerificationReport:
+        result, = _settle_window(params, True, lo, hi, 1, node_budget, case_shapes(params))
+        tallies = {label: 0 for label in CASE_LABELS}
+        tallies[CASE_SMOOTH_BELOW_THRESHOLD] = result["condition_hits"]
+        tallies.update(result["shape_hits"])
+        return VerificationReport(
+            check="critical-cases",
+            k=params.k,
+            n=params.n,
+            min_length=lo,
+            max_length=hi,
+            total_sequences=result["total"],
+            counterexamples=tuple(sorted(result["violations"], key=lambda v: (len(v), v))),
+            case_tallies=tallies,
+        )
+
+    return _cached("verify_cases", params, hi, cache, compute)
 
 
 # ---------------------------------------------------------------------------

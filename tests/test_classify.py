@@ -1,6 +1,7 @@
 """Classification predicates against literal-definition oracles."""
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +29,7 @@ from idemfree import (
 from idemfree.sequences import enumerate_multisets
 
 from oracles import (
+    all_multisets,
     g_smooth_oracle,
     idempotent_sum_free_oracle,
     minimal_idempotent_sum_oracle,
@@ -272,3 +274,20 @@ def test_free_matches_oracle_random(k, n, data):
                                  min_size=1, max_size=8))
     s = Sequence.from_indices(p, indices)
     assert is_idempotent_sum_free(s) == idempotent_sum_free_oracle(k, n, indices)
+
+
+@pytest.mark.parametrize("k,n", [(k, n) for k in range(1, 7) for n in range(1, 8 - k)])
+def test_minimal_matches_oracle_to_longest_length(k, n):
+    # a minimal idempotent-sum sequence has at most t+n-1 terms; every length
+    # up to t+n is compared with the per-removal oracle
+    p = SemigroupParams(k, n)
+    for indices in all_multisets(p.size, p.threshold + n):
+        assert (is_minimal_idempotent_sum(Sequence(p, indices))
+                == minimal_idempotent_sum_oracle(k, n, indices)), indices
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_minimal_zero_sum_matches_oracle_to_length_n(n):
+    for length in range(1, n + 1):
+        for residues in combinations_with_replacement(range(n), length):
+            assert minimal_zero_sum(n, residues) == minimal_zero_sum_oracle(n, residues), residues

@@ -213,6 +213,20 @@ def test_budget_refusal_exit(capsys):
         assert len(errs) == 1
 
 
+def test_recursion_limit_refusal_exit(capsys):
+    # the DFS recurses once per term, so a walk to 1200 terms outgrows
+    # Python's recursion limit; it is refused, not a traceback
+    argv = ("invariant", "--which", "free-smooth", "--k", "1200", "--n", "1",
+            "--budget", "100000")
+    code, out, err = run_cli(capsys, *argv, "--workers", "1")
+    assert (code, out) == (3, "")
+    assert err == ("refused: enumeration aborted: a walk to length 1200 exceeds "
+                   "Python's recursion limit\n")
+    # other shards may run out of budget first: still a refusal
+    code, out, err = run_cli(capsys, *argv, "--workers", "2")
+    assert (code, out) == (3, "") and err.startswith("refused: enumeration aborted:")
+
+
 def test_argparse_native_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--k", "3", "--n", "2"])
