@@ -15,7 +15,9 @@ scan() and verify_window() walk the same depth-first enumeration of
 nondecreasing multisets (_Dfs) and differ only in what each visited
 multiset does: scan prunes at the first non-free multiset, verify_window
 checks the structure condition and, in settle mode, counts the subtree
-under a non-free multiset in closed form.
+under a non-free multiset in closed form.  Where a policy can settle it,
+a non-free child is decided from its parent's masks and counted without
+a visit.
 
 Free/minimal/bad classification modes for scan():
   free_bad_mode     0 none, 1 bad = index multiset not 1-smooth,
@@ -150,6 +152,25 @@ def is_minimal(values, threshold: int, period: int) -> bool:
                                                  period_multiples(threshold, period))
 
 
+def _leaf_masks(universe: int, period: int, threshold: int) -> tuple[int, ...]:
+    """Per term w, the sums that make a free multiset P not free once w joins it.
+
+    P + w is not free iff some subsequence holding w reaches the idempotent:
+    w alone, w plus an exact sum s of P, or w plus a high sum of P.  With
+    r = -w mod period, entry w holds bit s for each s in [0, threshold-1]
+    with s = r (mod period) and s >= threshold - w (bit 0 stands for w
+    alone), and bit threshold + r.  So P + w is not free iff entry w meets
+    P's exact mask | 1 | P's high mask << threshold.
+    """
+    masks = [0]
+    for w in range(1, universe + 1):
+        r = -w % period
+        least = max(0, threshold - w)
+        masks.append(sum(1 << s for s in range(least + (r - least) % period, threshold, period))
+                     | 1 << (threshold + r))
+    return tuple(masks)
+
+
 class _Dfs:
     """Depth-first walk over nondecreasing multisets of [1, universe].
 
@@ -157,13 +178,24 @@ class _Dfs:
     _node(depth, parent_exact, high, total, smooth) the multiset's length,
     the exact mask of its parent (the multiset less its last term), its
     high mask, index total and 1-smoothness; _node returns whether to
-    descend.  The walk never goes past max_len terms and refuses with
-    BudgetError once it has visited more than node_budget multisets, or
-    once its recursion, one call per term, hits Python's recursion limit.
+    descend.
+
+    A policy that settles leaves (settles=True) has each child P + w of a
+    node P it descends from tested against P's masks (_leaf_masks) before
+    any call; the test is exact when P is free.  A child the test finds not
+    free goes to _settle(w, total, depth), with P's index total and length,
+    which either counts it as a settled leaf (nodes += 1 and the budget
+    check, at its place in DFS order) and returns True, or returns False to
+    have it visited.  Every other child is visited.  nodes thus counts
+    visited multisets and settled leaves.
+
+    The walk never goes past max_len terms and refuses with BudgetError
+    once nodes exceeds node_budget, or once its recursion, one call per
+    term, hits Python's recursion limit.
     """
 
     def __init__(self, universe: int, period: int, threshold: int, max_len: int,
-                 node_budget: int):
+                 node_budget: int, settles: bool):
         self.u = universe
         self.n = period
         self.threshold = threshold
@@ -174,6 +206,7 @@ class _Dfs:
         self.nodes = 0
         self.stack: list[int] = []
         self.rows = generator_rows(period, universe)
+        self.leaf = _leaf_masks(universe, period, threshold) if settles else None
 
     def run(self, first_lo: int, first_hi: int) -> None:
         try:
@@ -208,12 +241,23 @@ class _Dfs:
         if self._node(depth, exact, high, total, smooth) and depth < self.max_len:
             exact = (exact | shifted) & self.below
             visit = self._visit
-            for w in range(v, self.u + 1):
-                visit(w, exact, high, total, smooth)
+            leaf = self.leaf
+            if leaf is None:
+                for w in range(v, self.u + 1):
+                    visit(w, exact, high, total, smooth)
+            else:
+                sums = exact | 1 | high << cap
+                settle = self._settle
+                for w in range(v, self.u + 1):
+                    if not (sums & leaf[w] and settle(w, total, depth)):
+                        visit(w, exact, high, total, smooth)
         stack.pop()
 
     def _node(self, depth: int, parent_exact: int, high: int, total: int,
               smooth: bool) -> bool:
+        raise NotImplementedError
+
+    def _settle(self, w: int, total: int, depth: int) -> bool:
         raise NotImplementedError
 
 
@@ -238,7 +282,7 @@ class _Tally:
 class _Scan(_Dfs):
     def __init__(self, universe, period, threshold, max_len,
                  free_bad_mode, minimal_bad_mode, node_budget):
-        super().__init__(universe, period, threshold, max_len, node_budget)
+        super().__init__(universe, period, threshold, max_len, node_budget, True)
         self.free_bad_mode = free_bad_mode
         self.minimal_bad_mode = minimal_bad_mode
         self.free_count = [0] * (max_len + 1)
@@ -279,17 +323,31 @@ class _Scan(_Dfs):
                 self.free_bad.record(self.stack)
         return True
 
+    def _settle(self, w, total, depth):
+        # a non-free child is a leaf; only a minimal candidate needs its visit
+        total += w
+        if self.minimal_bad_mode and total >= self.threshold and not total % self.n:
+            return False
+        self.nodes += 1
+        if self.nodes > self.budget:
+            raise over_budget(self.budget)
+        return True
+
 
 def scan(universe: int, period: int, threshold: int, max_len: int,
          first_lo: int, first_hi: int,
          free_bad_mode: int, minimal_bad_mode: int, node_budget: int) -> dict:
     """Enumerate free multisets (and their one-term extensions) by DFS.
 
-    Visits exactly the nondecreasing multisets over [1, universe] whose
+    Reaches exactly the nondecreasing multisets over [1, universe] whose
     proper prefixes are all free, up to length max_len, with the smallest
-    element in [first_lo, first_hi]; classifies each as free or as a
-    minimal idempotent-sum candidate and tallies the "bad" ones per the
-    modes above.
+    element in [first_lo, first_hi], and counts each in nodes.  It visits
+    the free ones, the first terms, and the not-free ones that may be
+    minimal (minimal_bad_mode set, index total >= threshold and a multiple
+    of period); every other not-free one is a settled leaf, decided from
+    its parent's masks and counted without a visit.  Each visited multiset
+    is classified as free or as a minimal idempotent-sum candidate, and
+    the "bad" ones are tallied per the modes above.
     """
     state = _Scan(universe, period, threshold, max_len,
                   free_bad_mode, minimal_bad_mode, node_budget)
@@ -310,7 +368,10 @@ def scan(universe: int, period: int, threshold: int, max_len: int,
 class _Verify(_Dfs):
     def __init__(self, universe, period, threshold, tail_regime,
                  len_lo, len_hi, node_budget, settle, shapes):
-        super().__init__(universe, period, threshold, len_hi, node_budget)
+        # a non-free tail-regime multiset has index total >= threshold, so it
+        # fails the condition by arithmetic and its leaf test can settle it
+        super().__init__(universe, period, threshold, len_hi, node_budget,
+                         settle and tail_regime)
         self.tail_regime = tail_regime
         self.len_lo = len_lo
         self.total = 0
@@ -343,12 +404,29 @@ class _Verify(_Dfs):
                 self.violations.append(tuple(self.stack))
         if (self.settle and high & 1 and depth < self.max_len
                 and not (self.shape_prefixes and tuple(self.stack) in self.shape_prefixes)):
-            # count the in-window proper extensions instead of visiting them:
-            # C(u-v+j, j) multisets add j terms from [v, u]
-            spare = self.u - self.stack[-1]
-            self.total += sum(comb(spare + j, j) for j in
-                              range(max(1, self.len_lo - depth), self.max_len - depth + 1))
+            self.total += self._extensions(self.stack[-1], depth)
             return False
+        return True
+
+    def _extensions(self, last: int, depth: int) -> int:
+        """The in-window proper extensions of a multiset of length depth ending in last."""
+        # C(u-last+j, j) multisets add j terms from [last, u]
+        spare = self.u - last
+        return sum(comb(spare + j, j) for j in
+                   range(max(1, self.len_lo - depth), self.max_len - depth + 1))
+
+    def _settle(self, w, total, depth):
+        # only in settle mode and the tail regime: the child is not free and
+        # not a violation, unless it is a listed shape or a proper prefix of one
+        if self.shape_labels:
+            child = (*self.stack, w)
+            if child in self.shape_labels or child in self.shape_prefixes:
+                return False
+        self.nodes += 1
+        if self.nodes > self.budget:
+            raise over_budget(self.budget)
+        depth += 1
+        self.total += (depth >= self.len_lo) + self._extensions(w, depth)
         return True
 
 
@@ -364,14 +442,19 @@ def verify_window(universe: int, period: int, threshold: int, tail_regime: bool,
 
     settle=True skips the subtree under every node that is not free,
     adding its in-window multisets to total in closed form; nodes counts
-    visited multisets only.  Each skipped multiset is not free (that is
-    upward-closed) and fails the condition, which implies freeness: it
-    keeps every subsequence sum below the threshold (tail) or off 0 mod
-    the period (group).  So none is a violation.  shapes, a sequence of
-    (label, multiset) pairs, makes each listed multiset predict free as
-    well (the critical-case split), and a proper prefix of a shape is
-    never skipped.  Settle mode adds the keys condition_hits and
-    shape_hits (per label), both over the window.
+    visited multisets and, in the tail regime, settled leaves.  Each
+    skipped multiset is not free (that is upward-closed) and fails the
+    condition, which implies freeness: it keeps every subsequence sum below
+    the threshold (tail) or off 0 mod the period (group).  So none is a
+    violation.  In the tail regime a not-free child of a free multiset is
+    itself settled without a visit, decided from its parent's masks: its
+    index total is at least the threshold, so it fails the condition by
+    arithmetic.  In the group regime every node is visited and its
+    condition checked.  shapes, a sequence of (label, multiset) pairs,
+    makes each listed multiset predict free as well (the critical-case
+    split); a shape and a proper prefix of one are never skipped.  Settle
+    mode adds the keys condition_hits and shape_hits (per label), both over
+    the window.  Without settle every multiset up to len_hi is visited.
     """
     state = _Verify(universe, period, threshold, tail_regime,
                     len_lo, len_hi, node_budget, settle, shapes)

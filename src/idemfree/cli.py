@@ -98,7 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, default=1)
         p.add_argument("--cache-dir", default=None)
         p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
-                       help="refuse enumerations beyond this many visited multisets")
+                       help="refuse enumerations that reach more than this many multisets "
+                            "(visited, or settled as leaves)")
 
     p = sub.add_parser("classify", help="classify a single sequence")
     p.add_argument("--k", type=int, required=True)

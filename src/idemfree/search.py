@@ -303,9 +303,11 @@ def _verify_shard(args):
 
 
 def _run_shards(worker, arg_lists, workers: int) -> list[dict]:
-    if workers <= 1 or len(arg_lists) <= 1:
+    """worker(args) for each shard, in order; a pool no larger than the shards or the CPUs."""
+    processes = min(workers, len(arg_lists), os.cpu_count() or 1)
+    if processes <= 1:
         return [worker(args) for args in arg_lists]
-    with multiprocessing.Pool(processes=workers) as pool:
+    with multiprocessing.Pool(processes=processes) as pool:
         return pool.map(worker, arg_lists)
 
 

@@ -75,6 +75,16 @@ def test_criterion_1_structure_window():
             assert report.counterexamples == (), (k, n, report.counterexamples)
 
 
+def test_structure_window_and_case_split_to_sixteen():
+    # the range of criteria 1 and 2 widened to k+n <= 16, which the settled
+    # subtrees and leaves make cheap
+    for k, n in small_pairs(16):
+        params = P(k, n)
+        assert verify_structure(params).counterexamples == (), (k, n)
+        if k > n:
+            assert verify_critical_cases(params).counterexamples == (), (k, n)
+
+
 def case_shapes(k, n):
     """The four non-generic free shapes valid for these parameters."""
     t = -(-k // n) * n

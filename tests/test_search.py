@@ -1,5 +1,7 @@
 """Exhaustive verifiers, threshold invariants, families, and sharding."""
 
+from functools import cache
+
 import pytest
 
 from idemfree import (
@@ -33,7 +35,7 @@ from idemfree.search import (
     regime_label,
     structure_bound,
 )
-from idemfree import _kernels
+from idemfree import _kernels, search
 
 import oracles
 
@@ -115,6 +117,113 @@ def test_scan_minimal_counts_match_oracle(k, n):
     assert out["minimal_count_by_len"] == want
 
 
+def _free_prefix_counts(k, n, cap):
+    """Per first element, the multisets of length <= cap whose prefix S[:-1] is free."""
+    p = P(k, n)
+    free = {(): True}
+    counts = [0] * (p.size + 1)
+    for indices in oracles.all_multisets(p.size, cap):
+        prefix = indices[:-1]
+        if prefix not in free:
+            free[prefix] = oracles.idempotent_sum_free_oracle(k, n, prefix)
+        counts[indices[0]] += free[prefix]
+    return counts
+
+
+@pytest.mark.parametrize("k,n", [(k, n) for k in range(1, 7) for n in range(1, 8 - k)])
+def test_scan_nodes_count_multisets_with_free_prefix(k, n):
+    # the node budget counts every multiset the walk reaches: each one whose
+    # prefix is free, visited or settled as a non-free leaf, in every mode
+    p = P(k, n)
+    u, t = p.size, p.threshold
+    cap = default_minimal_cap(p)
+    counts = _free_prefix_counts(k, n, cap)
+    for first_lo, first_hi in [(1, u)] + [(v, v) for v in range(1, u + 1)]:
+        want = sum(counts[first_lo:first_hi + 1])
+        for modes in [(0, 0), (1, 1), (2, 3)]:
+            out = _kernels.scan(u, n, t, cap, first_lo, first_hi, *modes, 10**8)
+            assert out["nodes"] == want, (first_lo, modes)
+
+
+def _longest_bad(k, n, cap, bad):
+    """(length, first WITNESS_LIMIT in lexicographic order) of the longest bad multisets."""
+    by_len = {}
+    for indices in oracles.all_multisets(P(k, n).size, cap):
+        if bad(indices):
+            by_len.setdefault(len(indices), []).append(indices)
+    if not by_len:
+        return 0, []
+    best = max(by_len)
+    return best, sorted(by_len[best])[:_kernels.WITNESS_LIMIT]
+
+
+@pytest.mark.parametrize("k,n", [(k, n) for k in range(1, 7) for n in range(1, 8 - k)])
+def test_scan_witnesses_match_oracle(k, n):
+    # the longest bad multisets come out in DFS (lexicographic) order, none
+    # dropped: free ones at the free cap, minimal ones at the minimal cap
+    p = P(k, n)
+    u, t = p.size, p.threshold
+
+    @cache
+    def free(s):
+        return oracles.idempotent_sum_free_oracle(k, n, s)
+
+    @cache
+    def minimal(s):
+        return oracles.minimal_idempotent_sum_oracle(k, n, s)
+
+    def group_smooth(s, zero_sum):
+        return oracles.smooth_for_some_unit_oracle(n, [v % n for v in s], zero_sum)
+
+    cases = [
+        ("free", 1, default_free_cap(p), lambda s: free(s) and not oracles.one_smooth_oracle(s)),
+        ("free", 2, default_free_cap(p), lambda s: free(s) and not group_smooth(s, False)),
+        ("minimal", 1, default_minimal_cap(p),
+         lambda s: minimal(s) and not oracles.one_smooth_oracle(s)),
+        ("minimal", 2, default_minimal_cap(p), lambda s: minimal(s) and not group_smooth(s, True)),
+    ]
+    for kind, mode, cap, bad in cases:
+        modes = (mode, 0) if kind == "free" else (0, mode)
+        out = _kernels.scan(u, n, t, cap, 1, u, *modes, 10**8)
+        got = (out[f"{kind}_bad_len"], [tuple(w) for w in out[f"{kind}_bad_witnesses"]])
+        assert got == _longest_bad(k, n, cap, bad), (kind, mode)
+
+
+def test_run_shards_clamps_the_pool(monkeypatch):
+    # a pool never has more processes than shards or CPUs, and one process
+    # is no pool at all; the stand-in records the size and maps serially
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, worker, arg_lists):
+            return [worker(args) for args in arg_lists]
+
+    monkeypatch.setattr(search.multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
+    for workers, shards, want in [(8, 3, 3), (8, 20, 4), (2, 20, 2), (1000, 20, 4),
+                                  (8, 1, None), (1, 20, None)]:
+        sizes.clear()
+        assert search._run_shards(abs, list(range(-shards, 0)), workers) \
+            == list(range(shards, 0, -1))
+        assert sizes == ([] if want is None else [want]), (workers, shards)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: None)
+    sizes.clear()
+    assert search._run_shards(abs, [-1, -2], 8) == [1, 2] and sizes == []
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    sizes.clear()
+    assert free_smooth_threshold(P(8, 3), workers=64) == free_smooth_threshold(P(8, 3))
+    assert sizes == [2]
+
+
 def test_kernels_handle_wide_masks():
     # threshold + universe >= 64: the masks outgrow a machine word
     p = P(60, 2)
@@ -187,6 +296,21 @@ def test_settle_mode_never_skips_a_shape():
     assert bogus["shape_hits"] == {"bogus": 1}
     assert sorted(set(bogus["violations"]) - set(plain["violations"])) == [(6, 7)]
     assert bogus["total"] == plain["total"]
+
+
+def test_settle_mode_never_settles_a_shape_leaf():
+    # (1,) is free in C_{5;3} and (1,5) is not (1+5 is the idempotent 6),
+    # so (1,5) is a leaf the tail regime settles without a visit, unless it
+    # or a longer multiset through it is a listed shape
+    p = P(5, 3)
+    u, t = p.size, p.threshold
+    plain = _kernels.verify_window(u, 3, t, True, 1, 4, 1, u, 10**6, True)
+    for shape in [(1, 5), (1, 5, 5)]:
+        bogus = _kernels.verify_window(u, 3, t, True, 1, 4, 1, u, 10**6, True,
+                                       (("bogus", shape),))
+        assert sorted(set(bogus["violations"]) - set(plain["violations"])) == [shape]
+        assert bogus["shape_hits"] == {"bogus": 1}
+        assert bogus["total"] == plain["total"]
 
 
 @pytest.mark.parametrize("k,n", [(k, n) for k, n in SMALL_PAIRS if k > n])
