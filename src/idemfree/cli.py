@@ -95,7 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser, formats=("json", "text"), default="json"):
         p.add_argument("--format", choices=formats, default=default)
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=int, default=1,
+                       help="accepted for compatibility and ignored: every search runs "
+                            "in this process")
         p.add_argument("--cache-dir", default=None)
         p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
                        help="refuse enumerations that reach more than this many multisets "
@@ -145,6 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(ns: argparse.Namespace) -> RunConfig:
+    if ns.budget < 0:
+        raise DomainError(f"--budget must be >= 0, got {ns.budget}")
     pairs: tuple[tuple[int, int], ...] = ()
     if getattr(ns, "pairs", None) is not None:
         pairs = tuple(ns.pairs)

@@ -14,15 +14,14 @@ sequences found; with the default caps the enumeration provably closes
 (free sequences cannot reach threshold+period-1 terms, minimal ones cannot
 reach threshold+period), so frontier_hit=false certifies exactness.
 
-Sharding: work splits by the smallest element of the multiset, and the
-reduction is order-insensitive, so results are identical for any worker
-count.
+Every search runs in this process, as one DFS over the whole range.  The
+workers= parameters are accepted for compatibility and ignored, so results
+and refusals are identical for any worker count.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import tempfile
 from dataclasses import dataclass
@@ -292,60 +291,19 @@ def _cached(op: str, params: SemigroupParams, cap: int,
 
 
 # ---------------------------------------------------------------------------
-# sharded kernel execution
-
-def _scan_shard(args):
-    return _kernels.scan(*args)
-
-
-def _verify_shard(args):
-    return _kernels.verify_window(*args)
-
-
-def _run_shards(worker, arg_lists, workers: int) -> list[dict]:
-    """worker(args) for each shard, in order; a pool no larger than the shards or the CPUs."""
-    processes = min(workers, len(arg_lists), os.cpu_count() or 1)
-    if processes <= 1:
-        return [worker(args) for args in arg_lists]
-    with multiprocessing.Pool(processes=processes) as pool:
-        return pool.map(worker, arg_lists)
-
-
-def _shard_ranges(universe: int, workers: int) -> list[tuple[int, int]]:
-    if workers <= 1:
-        return [(1, universe)]
-    return [(v, v) for v in range(1, universe + 1)]
-
-
-def _run_sharded(worker, shard_args, universe: int, workers: int,
-                 node_budget: int) -> list[dict]:
-    """Run a kernel over shards of the smallest element, one result per shard.
-
-    shard_args(lo, hi) gives one shard's kernel arguments.  Every shard gets
-    the whole node budget and the merged node count is held to it as well,
-    so a refusal does not depend on the worker count.
-    """
-    results = _run_shards(worker, [shard_args(lo, hi) for lo, hi
-                                   in _shard_ranges(universe, workers)], workers)
-    if sum(r["nodes"] for r in results) > node_budget:
-        raise _kernels.over_budget(node_budget)
-    return results
-
+# kernel execution
 
 def _settle_window(params: SemigroupParams, tail_regime: bool, len_lo: int, len_hi: int,
-                   workers: int, node_budget: int, shapes=()) -> list[dict]:
-    """Run the settle-mode verify DFS over a window, one result per shard."""
-    return _run_sharded(
-        _verify_shard,
-        lambda lo, hi: (params.size, params.n, params.threshold, tail_regime,
-                        len_lo, len_hi, lo, hi, node_budget, True, shapes),
-        params.size, workers, node_budget)
+                   node_budget: int, shapes=()) -> dict:
+    """Run the settle-mode verify DFS over a window."""
+    return _kernels.verify_window(params.size, params.n, params.threshold, tail_regime,
+                                  len_lo, len_hi, 1, params.size, node_budget, True, shapes)
 
 
 # ---------------------------------------------------------------------------
 # invariants
 
-def _threshold(which: str, params: SemigroupParams, cap: int | None, workers: int,
+def _threshold(which: str, params: SemigroupParams, cap: int | None,
                node_budget: int, cache: ResultCache | str | Path | None) -> InvariantResult:
     """The three threshold searches: cap default, cache lookup, scan, cache store."""
     kind = "free" if which == FREE_SMOOTH else "minimal"
@@ -364,20 +322,11 @@ def _threshold(which: str, params: SemigroupParams, cap: int | None, workers: in
         else:
             mode = 1 if params.k > params.n else 2
             modes = (mode, 0) if kind == "free" else (0, mode)
-        results = _run_sharded(
-            _scan_shard,
-            lambda lo, hi: (params.size, params.n, params.threshold, cap, lo, hi,
-                            *modes, node_budget),
-            params.size, workers, node_budget)
-
-        def summed(key: str) -> tuple[int, ...]:
-            return tuple(map(sum, zip(*(r[f"{kind}_{key}"] for r in results))))
-
-        # shards merge by summing per-length counts and pooling the longest witnesses
-        bad_by_len = summed("bad_by_len")
-        best_len = max(r[f"{kind}_bad_len"] for r in results)
-        witnesses = sorted(tuple(w) for r in results if r[f"{kind}_bad_len"] == best_len
-                           for w in r[f"{kind}_bad_witnesses"])
+        result = _kernels.scan(params.size, params.n, params.threshold, cap, 1, params.size,
+                               *modes, node_budget)
+        bad_by_len = tuple(result[f"{kind}_bad_by_len"])
+        best_len = result[f"{kind}_bad_len"]
+        # the DFS meets multisets in lexicographic order, so the witnesses come sorted
         return InvariantResult(
             which=which,
             k=params.k,
@@ -385,10 +334,10 @@ def _threshold(which: str, params: SemigroupParams, cap: int | None, workers: in
             value=best_len + 1,
             search_cap=cap,
             frontier_hit=bad_by_len[cap] > 0,
-            witnesses=tuple(witnesses[:_kernels.WITNESS_LIMIT]),
+            witnesses=tuple(result[f"{kind}_bad_witnesses"]),
             witness_total=bad_by_len[best_len] if best_len else 0,
             bad_by_length=bad_by_len,
-            candidate_by_length=summed("count_by_len"),
+            candidate_by_length=tuple(result[f"{kind}_count_by_len"]),
         )
 
     return _cached(which.replace("-", "_"), params, cap, cache, compute)
@@ -398,14 +347,14 @@ def free_smooth_threshold(params: SemigroupParams, cap: int | None = None,
                           workers: int = 1, node_budget: int = DEFAULT_NODE_BUDGET,
                           cache: ResultCache | str | Path | None = None) -> InvariantResult:
     """Least length from which every free sequence has the smooth structure."""
-    return _threshold(FREE_SMOOTH, params, cap, workers, node_budget, cache)
+    return _threshold(FREE_SMOOTH, params, cap, node_budget, cache)
 
 
 def minimal_smooth_threshold(params: SemigroupParams, cap: int | None = None,
                              workers: int = 1, node_budget: int = DEFAULT_NODE_BUDGET,
                              cache: ResultCache | str | Path | None = None) -> InvariantResult:
     """Least length from which every minimal idempotent-sum sequence is smooth."""
-    return _threshold(MINIMAL_SMOOTH, params, cap, workers, node_budget, cache)
+    return _threshold(MINIMAL_SMOOTH, params, cap, node_budget, cache)
 
 
 def index_threshold(n: int, cap: int | None = None,
@@ -416,7 +365,7 @@ def index_threshold(n: int, cap: int | None = None,
     Computed over the residue group of order n, represented by the
     semigroup with index 1.
     """
-    return _threshold(INDEX, SemigroupParams(1, n), cap, workers, node_budget, cache)
+    return _threshold(INDEX, SemigroupParams(1, n), cap, node_budget, cache)
 
 
 def search_bad_sequences(params: SemigroupParams, kind: str, cap: int | None = None,
@@ -448,20 +397,16 @@ def verify_structure(params: SemigroupParams, max_length: int | None = None,
         raise DomainError(f"max_length {max_length} below the structure bound {bound}")
 
     def compute() -> VerificationReport:
-        results = _settle_window(params, params.k > params.n, bound, max_length,
-                                 workers, node_budget)
-        violations: list[tuple[int, ...]] = []
-        for r in results:
-            violations.extend(tuple(v) for v in r["violations"])
-        violations.sort()
+        result = _settle_window(params, params.k > params.n, bound, max_length, node_budget)
         return VerificationReport(
             check="structure",
             k=params.k,
             n=params.n,
             min_length=bound,
             max_length=max_length,
-            total_sequences=sum(r["total"] for r in results),
-            counterexamples=tuple(violations),
+            total_sequences=result["total"],
+            # the DFS meets multisets in lexicographic order, so the violations come sorted
+            counterexamples=tuple(result["violations"]),
             case_tallies=None,
         )
 
@@ -518,7 +463,7 @@ def verify_critical_cases(params: SemigroupParams,
     hi = max(lo, max_free_length(params))
 
     def compute() -> VerificationReport:
-        result, = _settle_window(params, True, lo, hi, 1, node_budget, case_shapes(params))
+        result = _settle_window(params, True, lo, hi, node_budget, case_shapes(params))
         tallies = {label: 0 for label in CASE_LABELS}
         tallies[CASE_SMOOTH_BELOW_THRESHOLD] = result["condition_hits"]
         tallies.update(result["shape_hits"])
@@ -606,9 +551,9 @@ def _bounds_row(k: int, n: int, results) -> tuple[dict, bool]:
     return row, within
 
 
-def _both_thresholds(params, cap, workers, node_budget, cache):
-    return (free_smooth_threshold(params, cap, workers, node_budget, cache),
-            minimal_smooth_threshold(params, cap, workers, node_budget, cache))
+def _both_thresholds(params, cap, node_budget, cache):
+    return (_threshold(FREE_SMOOTH, params, cap, node_budget, cache),
+            _threshold(MINIMAL_SMOOTH, params, cap, node_budget, cache))
 
 
 def explore_bounds(pairs, cap: int | None = None, workers: int = 1,
@@ -623,7 +568,7 @@ def explore_bounds(pairs, cap: int | None = None, workers: int = 1,
     for k, n in pairs:
         if not k > n >= 3:
             raise DomainError(f"exploration requires k > n >= 3, got ({k}, {n})")
-        row, within = _bounds_row(k, n, _both_thresholds(SemigroupParams(k, n), cap, workers,
+        row, within = _bounds_row(k, n, _both_thresholds(SemigroupParams(k, n), cap,
                                                          node_budget, cache))
         row["within_bounds"] = (within and not row["free_frontier_hit"]
                                 and not row["minimal_frontier_hit"])
@@ -644,7 +589,7 @@ def sweep(pairs, cap: int | None = None, workers: int = 1,
     for k, n in sorted(set(pairs)):
         params = SemigroupParams(k, n)
         try:
-            results = _both_thresholds(params, cap, workers, node_budget, cache)
+            results = _both_thresholds(params, cap, node_budget, cache)
         except BudgetError:
             results = None
         row, within = _bounds_row(k, n, results)

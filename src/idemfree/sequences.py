@@ -183,8 +183,7 @@ def sum_profile(seq: Sequence, cap: int | None = None) -> SumProfile:
 def enumerate_multisets(universe_max: int, length: int, smallest: int | None = None):
     """Yield nondecreasing index tuples over [1, universe_max] in canonical order.
 
-    With smallest set, restrict to multisets whose minimum element equals it
-    (the sharding key used by the parallel searches).
+    With smallest set, restrict to multisets whose minimum element equals it.
     """
     if universe_max < 1:
         raise DomainError(f"universe_max must be >= 1, got {universe_max}")

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from idemfree.cli import CACHE_DIR_ENV, EXPLORE_COLUMNS, main
 from idemfree.search import SWEEP_COLUMNS
@@ -199,8 +200,8 @@ def test_budget_refusal_exit(capsys):
                            "--budget", "10")
     assert code == 3 and err.startswith("refused:")
 
-    # the budget counts visited nodes over all shards, whatever the workers:
-    # C_{9;9}'s minimal-smooth search visits 11558 nodes, its largest shard 3010
+    # the budget counts every node of the one walk, whatever --workers says:
+    # C_{9;9}'s minimal-smooth search visits 11558 nodes
     for argv in (("verify", "--k", "5", "--n", "3", "--max-length", "8",
                   "--budget", "100"),
                  ("invariant", "--which", "minimal-smooth", "--k", "9", "--n", "9",
@@ -222,9 +223,25 @@ def test_recursion_limit_refusal_exit(capsys):
     assert (code, out) == (3, "")
     assert err == ("refused: enumeration aborted: a walk to length 1200 exceeds "
                    "Python's recursion limit\n")
-    # other shards may run out of budget first: still a refusal
-    code, out, err = run_cli(capsys, *argv, "--workers", "2")
-    assert (code, out) == (3, "") and err.startswith("refused: enumeration aborted:")
+    # --workers is ignored, so the refusal is the same at any value
+    assert run_cli(capsys, *argv, "--workers", "2") == (code, out, err)
+
+
+def test_negative_budget_is_invalid_input(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+    argv = ("invariant", "--which", "free-smooth", "--k", "5", "--n", "3")
+    cache = ("--cache-dir", str(tmp_path))
+    code, fresh, _ = run_cli(capsys, *argv, *cache)
+    assert code == 0
+    invalid = (2, "", "error: --budget must be >= 0, got -1\n")
+    # invalid with or without a cached answer, and in a sweep that catches refusals
+    assert run_cli(capsys, *argv, "--budget", "-1") == invalid
+    assert run_cli(capsys, *argv, *cache, "--budget", "-1") == invalid
+    assert run_cli(capsys, "sweep", "--pairs", "5:3", "--budget", "-1") == invalid
+    # a budget of 0 serves the cache or refuses
+    assert run_cli(capsys, *argv, *cache, "--budget", "0") == (0, fresh, "")
+    code, out, err = run_cli(capsys, *argv, "--budget", "0")
+    assert (code, out) == (3, "") and err.startswith("refused:")
 
 
 def test_argparse_native_errors(capsys):
@@ -328,3 +345,102 @@ def test_console_script_installed():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == 5
+
+
+# argv fuzzing: k, n <= 12, --cap <= 30, --max-length <= 14 and --budget <= 3000
+# keep every search small; a huge --k or --cap sizes masks and per-length lists
+_SEQ_TOKENS = ("1", "2^3", "1^3,5^2", "7", "0", "-1", "1^0", "2^-1", "^2", "1^", "a", "",
+               "1,,2", "3^2^2", " 4 ", "1.5")
+_PAIR_TOKENS = ("4-3", "a:b", "4:", ":3", "4:3:2", " 5 : 3 ", "")
+# True in most draws, so most argv get past argparse to the commands
+_USUALLY = st.sampled_from((True,) * 9 + (False,))
+
+
+def _mostly(good, bad):
+    return _USUALLY.flatmap(lambda ok: good if ok else bad)
+
+
+def _int_text(lo, hi):
+    return _mostly(st.integers(lo, hi).map(str), st.sampled_from(("", "x", "1.5", "0x3")))
+
+
+def _choice(good, bad):
+    return _mostly(st.sampled_from(good), st.just(bad))
+
+
+def _pair_text():
+    return _mostly(st.tuples(st.integers(-3, 12), st.integers(-3, 12))
+                   .map(lambda pair: f"{pair[0]}:{pair[1]}"),
+                   st.sampled_from(_PAIR_TOKENS))
+
+
+@st.composite
+def _cli_argv(draw, cache_dir):
+    values = {
+        "--k": _int_text(-3, 12),
+        "--n": _int_text(-3, 12),
+        "--seq": st.one_of(st.lists(st.sampled_from(_SEQ_TOKENS), min_size=1, max_size=4)
+                           .map(",".join),
+                           st.text(alphabet="0123456789^,- x", max_size=6)),
+        "--what": _choice(("structure", "cases"), "all"),
+        "--max-length": _int_text(-3, 14),
+        "--which": _choice(("free-smooth", "minimal-smooth", "index"), "both"),
+        "--kind": _choice(("free", "minimal"), "other"),
+        "--cap": _int_text(-3, 30),
+        "--pairs": st.lists(_pair_text(), max_size=4).map(",".join),
+        "--k-range": _pair_text(),
+        "--n-range": _pair_text(),
+        "--format": _choice(("json", "text", "csv"), "xml"),
+        "--workers": _int_text(-3, 64),
+        "--cache-dir": st.just(cache_dir),
+    }
+    # (required, optional) options per command
+    own = {
+        "classify": (("--k", "--n", "--seq"), ()),
+        "verify": (("--k", "--n"), ("--what", "--max-length")),
+        "invariant": (("--which", "--n"), ("--k", "--cap")),
+        "search": (("--k", "--n", "--kind"), ("--cap",)),
+        "explore": (("--pairs",), ("--cap",)),
+        "sweep": ((), ("--pairs", "--k-range", "--n-range", "--cap")),
+    }
+    command = draw(_choice(sorted(own), "bogus"))
+    required, optional = own.get(command, ((), ()))
+    # mostly the command's own options, now and then a required one missing
+    # or a foreign one added
+    chosen = [name for name in required if draw(_USUALLY)]
+    chosen += [name for name in optional + ("--format", "--workers", "--cache-dir")
+               if draw(st.booleans())]
+    if not draw(_USUALLY):
+        chosen.append(draw(st.sampled_from(sorted(values))))
+    argv = [command]
+    for name in draw(st.permutations(chosen)):
+        argv += [name, draw(values[name])]
+    # always bounded: no search runs at the default budget
+    return argv + ["--budget", draw(_int_text(-5, 3000))]
+
+
+def test_fuzzed_argv_ends_in_an_exit_code(tmp_path, capsys, monkeypatch):
+    # every argv ends in exit 0, 1, 2 or 3 with no traceback: argparse's
+    # rejection is SystemExit(2) and no other exception escapes main
+    monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_cli_argv(str(tmp_path)))
+    def check(argv):
+        try:
+            code = main(argv)
+            parsed = True
+        except SystemExit as exc:
+            code, parsed = exc.code, False
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2, 3), argv
+        if not parsed:
+            assert code == 2 and out == "", argv
+        elif code == 2:
+            assert out == "" and err.startswith("error: "), argv
+        elif code == 3:
+            assert out == "" and err.startswith("refused: "), argv
+        else:
+            assert out and err == "", argv
+
+    check()

@@ -1,6 +1,12 @@
-"""Exhaustive verifiers, threshold invariants, families, and sharding."""
+"""Exhaustive verifiers, threshold invariants, families, and worker independence."""
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
 from functools import cache
+from pathlib import Path
 
 import pytest
 
@@ -35,7 +41,8 @@ from idemfree.search import (
     regime_label,
     structure_bound,
 )
-from idemfree import _kernels, search
+from idemfree import _kernels
+from idemfree.cli import CACHE_DIR_ENV
 
 import oracles
 
@@ -189,39 +196,34 @@ def test_scan_witnesses_match_oracle(k, n):
         assert got == _longest_bad(k, n, cap, bad), (kind, mode)
 
 
-def test_run_shards_clamps_the_pool(monkeypatch):
-    # a pool never has more processes than shards or CPUs, and one process
-    # is no pool at all; the stand-in records the size and maps serially
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, worker, arg_lists):
-            return [worker(args) for args in arg_lists]
-
-    monkeypatch.setattr(search.multiprocessing, "Pool", RecordingPool)
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
-    for workers, shards, want in [(8, 3, 3), (8, 20, 4), (2, 20, 2), (1000, 20, 4),
-                                  (8, 1, None), (1, 20, None)]:
-        sizes.clear()
-        assert search._run_shards(abs, list(range(-shards, 0)), workers) \
-            == list(range(shards, 0, -1))
-        assert sizes == ([] if want is None else [want]), (workers, shards)
-    monkeypatch.setattr(search.os, "cpu_count", lambda: None)
-    sizes.clear()
-    assert search._run_shards(abs, [-1, -2], 8) == [1, 2] and sizes == []
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
-    sizes.clear()
-    assert free_smooth_threshold(P(8, 3), workers=64) == free_smooth_threshold(P(8, 3))
-    assert sizes == [2]
+def test_searches_run_in_process_at_any_workers():
+    # --workers is accepted and ignored: a fresh interpreter running the CLI
+    # at --workers 8 never imports multiprocessing and prints the --workers 1 bytes
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys
+        from idemfree.cli import main
+        runs = []
+        for argv in (["invariant", "--which", "minimal-smooth", "--k", "9", "--n", "9"],
+                     ["verify", "--k", "5", "--n", "3"]):
+            for workers in ("1", "8"):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = main(argv + ["--workers", workers])
+                runs.append((code, out.getvalue()))
+        print(json.dumps({"pool": "multiprocessing" in sys.modules, "runs": runs}))
+    """)
+    env = {key: value for key, value in os.environ.items() if key != CACHE_DIR_ENV}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True)
+    report = json.loads(proc.stdout)
+    assert report["pool"] is False
+    (code1, out1), (code8, out8), (vcode1, vout1), (vcode8, vout8) = report["runs"]
+    assert code1 == code8 == vcode1 == vcode8 == 0
+    assert out8 == out1 and vout8 == vout1
+    assert json.loads(out1)["which"] == "minimal-smooth"
+    assert json.loads(vout1)["check"] == "structure"
 
 
 def test_kernels_handle_wide_masks():
@@ -264,7 +266,7 @@ def test_verify_engine_detects_violations_below_bound():
 def test_settle_mode_agrees_with_exhaustive_window(k, n):
     # skipping settled subtrees must not change the total or the violations,
     # in either regime, from length 1 (below the bound violations exist),
-    # over the whole range and over every single-first-element shard
+    # over the whole range and over every single first element
     p = P(k, n)
     u, t = p.size, p.threshold
     hi = structure_bound(p) + 3
@@ -275,10 +277,11 @@ def test_settle_mode_agrees_with_exhaustive_window(k, n):
             fast = _kernels.verify_window(u, n, t, tail, 1, hi, first_lo, first_hi, 10**8,
                                           True)
             assert fast["total"] == full["total"], (tail, first_lo)
-            assert sorted(fast["violations"]) == sorted(full["violations"]), (tail, first_lo)
+            # in lexicographic order, which verify_structure reports as is
+            assert fast["violations"] == sorted(full["violations"]), (tail, first_lo)
             assert fast["nodes"] <= full["nodes"]
             shard_nodes.append(fast["nodes"])
-        # the global node budget relies on shards partitioning the visits
+        # the single-first-element walks partition the whole walk's nodes
         assert sum(shard_nodes[1:]) == shard_nodes[0]
 
 
@@ -483,8 +486,8 @@ def test_budget_refusals():
 
 
 def test_verify_budget_counts_visited_nodes_globally():
-    # the pruned C_{5;3} window visits 153 nodes, its largest shard 80:
-    # a per-shard budget of 100 would pass at workers=2
+    # the pruned C_{5;3} window visits 153 nodes in one walk, so a budget
+    # of 100 refuses it and one of 153 admits it, whatever the workers
     want = "enumeration aborted: visited multisets exceed the node budget 100"
     for workers in (1, 2):
         with pytest.raises(BudgetError) as err:
