@@ -47,24 +47,8 @@ from idemfree.search import (
     verify_critical_cases,
     verify_structure,
 )
-from idemfree.semigroup import (
-    Element,
-    SemigroupParams,
-    add,
-    add_index,
-    idempotent,
-    is_idempotent,
-    residue,
-)
-from idemfree.sequences import (
-    Sequence,
-    SumProfile,
-    format_index_multiset,
-    parse_index_multiset,
-    semigroup_sum,
-    sum_profile,
-    sumset_bruteforce,
-)
+from idemfree.semigroup import Element, SemigroupParams, add_index
+from idemfree.sequences import Sequence, format_index_multiset, parse_index_multiset, semigroup_sum
 
 __version__ = "0.1.0"
 
@@ -78,9 +62,7 @@ __all__ = [
     "ResultCache",
     "SemigroupParams",
     "Sequence",
-    "SumProfile",
     "VerificationReport",
-    "add",
     "add_index",
     "backend_name",
     "classify",
@@ -93,10 +75,8 @@ __all__ = [
     "free_smooth_threshold",
     "generate_family",
     "generators",
-    "idempotent",
     "idempotent_sum_witness",
     "index_threshold",
-    "is_idempotent",
     "is_idempotent_sum",
     "is_idempotent_sum_free",
     "is_minimal_idempotent_sum",
@@ -105,7 +85,6 @@ __all__ = [
     "minimal_smooth_threshold",
     "minimal_zero_sum",
     "parse_index_multiset",
-    "residue",
     "search_bad_sequences",
     "semigroup_sum",
     "sequence_index",
@@ -113,8 +92,6 @@ __all__ = [
     "smooth_kind",
     "structure_bound",
     "structure_condition",
-    "sum_profile",
-    "sumset_bruteforce",
     "sweep",
     "verify_critical_cases",
     "verify_structure",

@@ -60,11 +60,14 @@ def profile_step(exact: int, high: int, v: int, cap: int, period: int) -> tuple[
         d = v % period
         high |= ((high << d) | (high >> (period - d))) & ((1 << period) - 1)
     over = shifted >> cap
-    while over:
-        low = over & -over
-        high |= 1 << ((cap + low.bit_length() - 1) % period)
-        over ^= low
-    return (exact | shifted) & ((1 << cap) - 2), high
+    if over:
+        # clear bits >= cap only here, so the mask is min(cap, total+1) bits wide
+        shifted ^= over << cap
+        while over:
+            low = over & -over
+            high |= 1 << ((cap + low.bit_length() - 1) % period)
+            over ^= low
+    return exact | shifted, high
 
 
 def profile(values, cap: int, period: int) -> tuple[int, int]:
@@ -113,11 +116,16 @@ def smooth_for_some_generator(rows, values, period: int, zero_sum: bool) -> bool
     return False
 
 
+def _spaced_bits(start: int, stop: int, step: int) -> int:
+    """The mask of bits start, start+step, ... below stop (start < stop + step)."""
+    # a base-2**step repunit, shifted
+    count = (stop - 1 - start) // step + 1
+    return (((1 << count * step) - 1) // ((1 << step) - 1)) << start
+
+
 def period_multiples(threshold: int, period: int) -> int:
     """The mask of bits period, 2*period, ... below the threshold."""
-    # a base-2**period repunit, shifted
-    count = (threshold - 1) // period
-    return (((1 << count * period) - 1) // ((1 << period) - 1)) << period
+    return _spaced_bits(period, threshold, period)
 
 
 def is_minimal_extension(parent_exact: int, total: int, threshold: int, period: int,
@@ -166,7 +174,7 @@ def _leaf_masks(universe: int, period: int, threshold: int) -> tuple[int, ...]:
     for w in range(1, universe + 1):
         r = -w % period
         least = max(0, threshold - w)
-        masks.append(sum(1 << s for s in range(least + (r - least) % period, threshold, period))
+        masks.append(_spaced_bits(least + (r - least) % period, threshold, period)
                      | 1 << (threshold + r))
     return tuple(masks)
 

@@ -58,7 +58,6 @@ class RunConfig:
     cap: int | None = None
     pairs: tuple[tuple[int, int], ...] = field(default_factory=tuple)
     output_format: str = "json"
-    workers: int = 1
     cache_dir: str | None = None
     node_budget: int = DEFAULT_NODE_BUDGET
 
@@ -173,7 +172,6 @@ def config_from_args(ns: argparse.Namespace) -> RunConfig:
         cap=getattr(ns, "cap", None),
         pairs=pairs,
         output_format=ns.format,
-        workers=ns.workers,
         cache_dir=ns.cache_dir,
         node_budget=ns.budget,
     )
@@ -227,7 +225,6 @@ def run(config: RunConfig) -> tuple[int, str]:
         params = SemigroupParams(config.k, config.n)
         if config.what == "structure":
             report = verify_structure(params, config.max_length,
-                                      workers=config.workers,
                                       node_budget=config.node_budget, cache=cache)
         else:
             report = verify_critical_cases(params, node_budget=config.node_budget,
@@ -238,7 +235,7 @@ def run(config: RunConfig) -> tuple[int, str]:
 
     if config.command == "invariant":
         if config.which == "index":
-            result = index_threshold(config.n, config.cap, workers=config.workers,
+            result = index_threshold(config.n, config.cap,
                                      node_budget=config.node_budget, cache=cache)
         else:
             if config.k is None:
@@ -246,28 +243,25 @@ def run(config: RunConfig) -> tuple[int, str]:
             params = SemigroupParams(config.k, config.n)
             fn = (free_smooth_threshold if config.which == "free-smooth"
                   else minimal_smooth_threshold)
-            result = fn(params, config.cap, workers=config.workers,
-                        node_budget=config.node_budget, cache=cache)
+            result = fn(params, config.cap, node_budget=config.node_budget, cache=cache)
         payload = result.to_json_dict()
         return 0, _render_json(payload) if fmt == "json" else _render_text(payload)
 
     if config.command == "search":
         params = SemigroupParams(config.k, config.n)
         result = search_bad_sequences(params, config.kind, config.cap,
-                                      workers=config.workers,
                                       node_budget=config.node_budget, cache=cache)
         payload = result.to_json_dict()
         return 0, _render_json(payload) if fmt == "json" else _render_text(payload)
 
     if config.command == "explore":
-        rows = explore_bounds(config.pairs, config.cap, workers=config.workers,
+        rows = explore_bounds(config.pairs, config.cap,
                               node_budget=config.node_budget, cache=cache)
         code = 0 if all(row["within_bounds"] for row in rows) else 1
         return code, _render_rows(rows, EXPLORE_COLUMNS, fmt)
 
     if config.command == "sweep":
-        rows = sweep(config.pairs, config.cap, workers=config.workers,
-                     node_budget=config.node_budget, cache=cache)
+        rows = sweep(config.pairs, config.cap, node_budget=config.node_budget, cache=cache)
         return 0, _render_rows(rows, SWEEP_COLUMNS, fmt)
 
     raise DomainError(f"unknown command {config.command!r}")

@@ -5,6 +5,9 @@ identified with their indices 1..k+n-1 (the i-th power of the generator).
 Adding indices past the end wraps back into the periodic tail [k, k+n-1]
 according to the residue mod n.  Exactly one element is idempotent: the
 unique multiple of n in the tail.
+
+Holds the parameter pair, the element type, index validation and the
+addition rule on raw indices (add_index).
 """
 
 from __future__ import annotations
@@ -42,22 +45,12 @@ class SemigroupParams:
     def idempotent(self) -> Element:
         return Element(self.threshold)
 
-    def elements(self) -> list[Element]:
-        return [Element(i) for i in range(1, self.size + 1)]
-
 
 @dataclass(frozen=True, order=True)
 class Element:
     """Semigroup element, identified by its index in [1, k+n-1]."""
 
     index: int
-
-
-@dataclass(frozen=True, order=True)
-class Residue:
-    """Residue class mod the period, represented in [0, n-1]."""
-
-    value: int
 
 
 def check_index(params: SemigroupParams, index: int) -> None:
@@ -72,28 +65,3 @@ def add_index(params: SemigroupParams, i: int, j: int) -> int:
         return s
     # wrap into [k, k+n-1], preserving the residue mod n
     return params.k + (s - params.k) % params.n
-
-
-def add(params: SemigroupParams, a: Element, b: Element) -> Element:
-    check_index(params, a.index)
-    check_index(params, b.index)
-    return Element(add_index(params, a.index, b.index))
-
-
-def idempotent(params: SemigroupParams) -> Element:
-    return params.idempotent()
-
-
-def is_idempotent(params: SemigroupParams, a: Element) -> bool:
-    check_index(params, a.index)
-    return a.index == params.threshold
-
-
-def residue(params: SemigroupParams, a: Element) -> Residue:
-    """Project an element onto its residue mod the period.
-
-    On the periodic tail this is an isomorphism onto the cyclic group of
-    order n; it is a homomorphism on the whole semigroup.
-    """
-    check_index(params, a.index)
-    return Residue(a.index % params.n)

@@ -27,7 +27,7 @@ from idemfree.search import (
     critical_length,
     max_free_length,
 )
-from idemfree.sequences import Sequence, enumerate_multisets
+from idemfree.sequences import Sequence
 
 
 def wrap_index(k: int, n: int, m: int) -> int:
@@ -171,16 +171,15 @@ def critical_cases_by_enumeration(params) -> dict:
     tallies = {label: 0 for label in CASE_LABELS}
     violations = []
     total = 0
-    for length in range(lo, hi + 1):
-        for indices in enumerate_multisets(params.size, length):
-            total += 1
-            _, high = _kernels.profile(indices, params.threshold, params.n)
-            free = not high & 1
-            cases = matched_cases_by_pattern(params, indices)
-            for label in cases:
-                tallies[label] += 1
-            if free != bool(cases):
-                violations.append(indices)
+    for indices in all_multisets(params.size, hi, lo):
+        total += 1
+        _, high = _kernels.profile(indices, params.threshold, params.n)
+        free = not high & 1
+        cases = matched_cases_by_pattern(params, indices)
+        for label in cases:
+            tallies[label] += 1
+        if free != bool(cases):
+            violations.append(indices)
     report = VerificationReport(
         check="critical-cases",
         k=params.k,

@@ -1,5 +1,6 @@
 """Classification predicates against literal-definition oracles."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -92,7 +93,7 @@ def test_witness_validity(k, n):
                 continue
             assert w.length >= 1
             assert is_idempotent_sum(w)
-            remaining = dict(s.counts())
+            remaining = Counter(s.indices)
             for v in w.indices:
                 remaining[v] -= 1
                 assert remaining[v] >= 0

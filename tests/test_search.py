@@ -240,6 +240,22 @@ def test_kernels_handle_wide_masks():
         sum(1 << r for r in {s % 5 for s in sums if s >= 60}))
 
 
+def test_leaf_masks_match_their_bitwise_definition():
+    # entry w: bits s in [t-w, t) with n | s+w (bit 0 is w alone), and bit t + (-w mod n)
+    for k in range(1, 13):
+        for n in range(1, 13):
+            p = P(k, n)
+            t = p.threshold
+            want = [0]
+            for w in range(1, p.size + 1):
+                mask = 1 << (t + -w % n)
+                for s in range(max(0, t - w), t):
+                    if (s + w) % n == 0:
+                        mask |= 1 << s
+                want.append(mask)
+            assert _kernels._leaf_masks(p.size, n, t) == tuple(want), (k, n)
+
+
 def test_scan_budget_error_text():
     p = P(9, 9)
     with pytest.raises(BudgetError) as err:

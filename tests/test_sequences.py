@@ -1,23 +1,39 @@
-"""Sequence container, parsing, sums, and the capped subset-sum profile."""
+"""Sequence container, parsing, sums, and the capped subset-sum profile kernel."""
+
+import tracemalloc
+from collections import Counter
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
 from idemfree import (
     DomainError,
-    Element,
     ParseError,
     SemigroupParams,
     Sequence,
+    classify,
     format_index_multiset,
     parse_index_multiset,
     semigroup_sum,
-    sum_profile,
-    sumset_bruteforce,
 )
-from idemfree.sequences import enumerate_multisets, multiset_count
+from idemfree import _kernels
+from idemfree.sequences import enumerate_multisets
 
 from oracles import semigroup_subset_sums, subset_sums, wrap_index
+
+
+def profile_sets(values, cap, n):
+    """The profile kernel's masks as (exact sums below cap, residues of sums >= cap)."""
+    exact, high = _kernels.profile(values, cap, n)
+    return ({s for s in range(exact.bit_length()) if exact >> s & 1},
+            {r for r in range(n) if high >> r & 1})
+
+
+def semigroup_sums(params, values):
+    """Semigroup subsequence sums read off the profile at cap k: a sum >= k folds by residue."""
+    exact, high = profile_sets(values, params.k, params.n)
+    return exact | {params.k + (r - params.k) % params.n for r in high}
 
 
 def test_parse_examples():
@@ -63,15 +79,12 @@ def test_sequence_normalizes_and_validates():
     assert s.indices == (2, 4, 4)
     assert s.length == 3
     assert s.total == 10
-    assert s.counts() == {2: 1, 4: 2}
+    assert Counter(s.indices) == {2: 1, 4: 2}
     assert s.residues() == (2, 1, 1)
-    assert s.without_one(4).indices == (2, 4)
     with pytest.raises(DomainError):
         Sequence.from_indices(p, [8])
     with pytest.raises(DomainError):
         Sequence.from_indices(p, [0])
-    with pytest.raises(DomainError):
-        s.without_one(3)
 
 
 def test_semigroup_sum_examples():
@@ -85,13 +98,10 @@ def test_semigroup_sum_examples():
 
 def test_sumset_examples():
     p = SemigroupParams(7, 1)
-    s = Sequence.parse(p, "1^2,4")
-    got = {e.index for e in sumset_bruteforce(s)}
-    assert got == {1, 2, 4, 5, 6}
+    assert semigroup_sums(p, (1, 1, 4)) == {1, 2, 4, 5, 6}
 
     p = SemigroupParams(5, 3)
-    got = {e.index for e in sumset_bruteforce(Sequence.parse(p, "2,4"))}
-    assert got == {2, 4, 6}
+    assert semigroup_sums(p, (2, 4)) == {2, 4, 6}
 
 
 @pytest.mark.parametrize("k,n", [(5, 3), (7, 1), (2, 5), (3, 3), (4, 2), (1, 6)])
@@ -99,48 +109,13 @@ def test_sumset_matches_oracle(k, n):
     p = SemigroupParams(k, n)
     for length in range(1, 5):
         for indices in enumerate_multisets(p.size, length):
-            s = Sequence.from_indices(p, indices)
-            got = {e.index for e in sumset_bruteforce(s)}
-            assert got == semigroup_subset_sums(k, n, indices)
-
-
-def test_sumset_refuses_long_input():
-    p = SemigroupParams(5, 3)
-    s = Sequence.from_indices(p, [1] * 21)
-    with pytest.raises(DomainError):
-        sumset_bruteforce(s)
+            assert semigroup_sums(p, indices) == semigroup_subset_sums(k, n, indices)
 
 
 def test_profile_examples():
-    p = SemigroupParams(5, 3)
-    prof = sum_profile(Sequence.parse(p, "2,4"), cap=6)
-    assert sorted(prof.exact_sums) == [2, 4]
-    assert prof.high_residues == (True, False, False)
-    assert prof.has_sum_at_least(6, 0)
-    assert not prof.has_sum_at_least(6, 1)
-
-    prof = sum_profile(Sequence.parse(p, "1,1"), cap=6)
-    assert sorted(prof.exact_sums) == [1, 2]
-    assert prof.high_residues == (False, False, False)
-
-    prof = sum_profile(Sequence.parse(p, "1,1"), cap=1)
-    assert sorted(prof.exact_sums) == []
-    assert prof.high_residues == (False, True, True)
-
-
-def test_profile_default_cap_and_validation():
-    p = SemigroupParams(5, 3)
-    prof = sum_profile(Sequence.parse(p, "2,4"))
-    assert prof.cap == p.threshold + p.n
-    assert prof.period == 3
-    with pytest.raises(DomainError):
-        prof.has_sum_at_least(prof.cap + 1, 0)
-    with pytest.raises(DomainError):
-        prof.has_sum_at_least(0, 0)
-    with pytest.raises(DomainError):
-        prof.has_sum_at_least(1, 3)
-    with pytest.raises(DomainError):
-        sum_profile(Sequence.parse(p, "2,4"), cap=0)
+    assert profile_sets((2, 4), 6, 3) == ({2, 4}, {0})
+    assert profile_sets((1, 1), 6, 3) == ({1, 2}, set())
+    assert profile_sets((1, 1), 1, 3) == (set(), {1, 2})
 
 
 @pytest.mark.parametrize("k,n", [(5, 3), (7, 1), (2, 5), (4, 4)])
@@ -149,35 +124,39 @@ def test_profile_matches_subset_sums(k, n):
     cap = p.threshold
     for length in range(1, 6):
         for indices in enumerate_multisets(p.size, length):
-            s = Sequence.from_indices(p, indices)
-            prof = sum_profile(s, cap=cap)
             sums = subset_sums(indices)
-            assert prof.exact_sums == frozenset(x for x in sums if x < cap)
-            for r in range(n):
-                want = any(x >= cap and x % n == r for x in sums)
-                assert prof.high_residues[r] == want
+            assert profile_sets(indices, cap, n) == ({x for x in sums if x < cap},
+                                                     {x % n for x in sums if x >= cap})
 
 
 @given(st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=10),
        st.integers(min_value=1, max_value=30))
 def test_profile_matches_subset_sums_random(values, cap):
-    p = SemigroupParams(30, 4)
-    s = Sequence.from_indices(p, values)
-    prof = sum_profile(s, cap=cap)
     sums = subset_sums(values)
-    assert prof.exact_sums == frozenset(x for x in sums if x < cap)
-    for r in range(4):
-        assert prof.high_residues[r] == any(x >= cap and x % 4 == r for x in sums)
+    assert profile_sets(values, cap, 4) == ({x for x in sums if x < cap},
+                                            {x % 4 for x in sums if x >= cap})
+
+
+def test_profile_masks_are_sized_by_the_sums_not_the_cap():
+    # the masks of "1,2,3" span 7 bits, whatever the threshold: classify at
+    # k = 10**8 peaked at 25 MB when every term allocated a threshold-wide mask
+    s = Sequence.parse(SemigroupParams(10**8, 1), "1,2,3")
+    tracemalloc.start()
+    try:
+        report = classify(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.is_idempotent_sum_free
+    assert peak < 1_000_000
 
 
 def test_enumeration_counts():
     assert len(list(enumerate_multisets(2, 2))) == 3
     assert len(list(enumerate_multisets(5, 3))) == 35
-    assert multiset_count(2, 2) == 3
-    assert multiset_count(5, 3) == 35
     assert list(enumerate_multisets(3, 2, smallest=2)) == [(2, 2), (2, 3)]
     for u, length in [(4, 3), (6, 2), (3, 5)]:
-        assert multiset_count(u, length) == len(list(enumerate_multisets(u, length)))
+        assert len(list(enumerate_multisets(u, length))) == comb(u + length - 1, length)
 
 
 def test_wrap_consistency():
