@@ -12,12 +12,13 @@ minimality rule (is_minimal_extension); idemfree.classify checks outside
 input and calls them.
 
 scan() and verify_window() walk the same depth-first enumeration of
-nondecreasing multisets (_Dfs) and differ only in what each visited
-multiset does: scan prunes at the first non-free multiset, verify_window
-checks the structure condition and, in settle mode, counts the subtree
-under a non-free multiset in closed form.  Where a policy can settle it,
-a non-free child is decided from its parent's masks and counted without
-a visit.
+nondecreasing multisets (_Dfs) and differ only in which children of a
+node each one visits and what a visited multiset does.  scan visits only
+free multisets: each non-free child of a free multiset is decided from
+its parent's masks, a minimal idempotent-sum candidate classified there
+in closed form (minimal_candidates), and counted without a visit.
+verify_window checks the structure condition and, in settle mode, counts
+the subtree under a non-free multiset in closed form.
 
 Free/minimal/bad classification modes for scan():
   free_bad_mode     0 none, 1 bad = index multiset not 1-smooth,
@@ -38,8 +39,9 @@ from idemfree.errors import BudgetError
 WITNESS_LIMIT = 200
 
 __all__ = ["WITNESS_LIMIT", "backend_name", "generator_rows", "is_minimal",
-           "is_minimal_extension", "is_one_smooth_sorted", "over_budget", "period_multiples",
-           "profile", "profile_step", "scan", "smooth_for_some_generator", "verify_window"]
+           "is_minimal_extension", "is_one_smooth_sorted", "minimal_candidates", "over_budget",
+           "period_multiples", "profile", "profile_step", "scan", "smooth_for_some_generator",
+           "verify_window"]
 
 
 def backend_name() -> str:
@@ -109,9 +111,10 @@ def is_one_smooth_sorted(values) -> bool:
 def smooth_for_some_generator(rows, values, period: int, zero_sum: bool) -> bool:
     """Whether some row makes values a 1-smooth ladder: total period if zero_sum, else below."""
     for _, row in rows:
-        ds = sorted(row[v] for v in values)
+        ds = [row[v] for v in values]
         total = sum(ds)
-        if (total == period if zero_sum else total < period) and is_one_smooth_sorted(ds):
+        # the total rules out most rows, so sort only the ones it admits
+        if (total == period if zero_sum else total < period) and is_one_smooth_sorted(sorted(ds)):
             return True
     return False
 
@@ -144,6 +147,25 @@ def is_minimal_extension(parent_exact: int, total: int, threshold: int, period: 
     if total < threshold or total % period:
         return False
     return not parent_exact & multiples & ((2 << (total - threshold)) - 1)
+
+
+def minimal_candidates(terms: range, parent_exact: int, total: int, threshold: int,
+                       period: int, multiples: int) -> range:
+    """The w in terms with P + w minimal idempotent-sum, for a free multiset P.
+
+    parent_exact is P's exact mask, total P's index total and multiples
+    period_multiples(threshold, period).  By is_minimal_extension these are
+    the w with total + w >= threshold and a multiple of period, and
+    total + w - threshold below the least multiple of period in P's exact
+    mask: one progression of step period.
+    """
+    lo = max(terms.start, threshold - total)
+    lo += -(total + lo) % period
+    stop = terms.stop
+    blockers = parent_exact & multiples
+    if blockers:
+        stop = min(stop, (blockers & -blockers).bit_length() - 1 + threshold - total)
+    return range(lo, stop, period)
 
 
 def is_minimal(values, threshold: int, period: int) -> bool:
@@ -182,20 +204,25 @@ def _leaf_masks(universe: int, period: int, threshold: int) -> tuple[int, ...]:
 class _Dfs:
     """Depth-first walk over nondecreasing multisets of [1, universe].
 
-    Each visited multiset is self.stack.  The walk hands the subclass's
-    _node(depth, parent_exact, high, total, smooth) the multiset's length,
-    the exact mask of its parent (the multiset less its last term), its
-    high mask, index total and 1-smoothness; _node returns whether to
-    descend.
+    The walk starts at the empty multiset and descends from each node P,
+    held in self.stack, in one _descend call.  That call asks the policy's
+    _children(terms, sums, exact, total, smooth, depth) which children
+    P + w, w in terms, to visit.  terms is range(last term of P,
+    universe + 1), or the first-term range at the root; sums is P's exact
+    mask | 1 | P's high mask << threshold (1 at the root); exact, total,
+    smooth and depth are P's exact mask, index total, 1-smoothness and
+    length.  For a free P, child w is not free iff sums meets _leaf_masks
+    entry w, which policies that settle leaves (settles=True) get as
+    self.leaf.  _children returns the children to visit, in increasing
+    order.  Every other child is a settled leaf, which the policy decides
+    from P's masks; the walk counts it without a visit, adding each run of
+    settled leaves to nodes just before the next visit and the run after
+    the last visit at the end, with the budget check each time.  nodes
+    thus counts visited multisets and settled leaves in DFS order.
 
-    A policy that settles leaves (settles=True) has each child P + w of a
-    node P it descends from tested against P's masks (_leaf_masks) before
-    any call; the test is exact when P is free.  A child the test finds not
-    free goes to _settle(w, total, depth), with P's index total and length,
-    which either counts it as a settled leaf (nodes += 1 and the budget
-    check, at its place in DFS order) and returns True, or returns False to
-    have it visited.  Every other child is visited.  nodes thus counts
-    visited multisets and settled leaves.
+    Each visited multiset goes to _node(depth, parent_exact, high, total,
+    smooth) with its length, the exact mask of its parent, its high mask,
+    index total and 1-smoothness; _node returns whether to descend.
 
     The walk never goes past max_len terms and refuses with BudgetError
     once nodes exceeds node_budget, or once its recursion, one call per
@@ -219,53 +246,58 @@ class _Dfs:
     def run(self, first_lo: int, first_hi: int) -> None:
         try:
             if self.max_len >= 1:
-                for v in range(first_lo, first_hi + 1):
-                    self._visit(v, 0, 0, 0, True)
+                # the empty multiset: free, and its only subset sum is 0
+                self._descend(range(first_lo, first_hi + 1), 1, 0, 0, 0, True)
         except RecursionError:
             raise BudgetError(f"enumeration aborted: a walk to length {self.max_len} "
                               "exceeds Python's recursion limit") from None
 
-    def _visit(self, v: int, exact: int, high: int, total: int, smooth: bool) -> None:
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise over_budget(self.budget)
+    def _descend(self, terms: range, sums: int, exact: int, high: int, total: int,
+                 smooth: bool) -> None:
+        stack = self.stack
+        depth = len(stack) + 1
         n = self.n
         cap = self.threshold
-        # profile_step, inlined: a call per node would cost the scan about 3%
-        shifted = (exact << v) | (1 << v)
-        if high:
-            d = v % n
-            high |= ((high << d) | (high >> (n - d))) & self.nmask
-        over = shifted >> cap
-        while over:
-            low = over & -over
-            high |= 1 << ((cap + low.bit_length() - 1) % n)
-            over ^= low
-        total += v
-        smooth = smooth and v <= 1 + (total - v)
-        stack = self.stack
-        stack.append(v)
-        depth = len(stack)
-        if self._node(depth, exact, high, total, smooth) and depth < self.max_len:
-            exact = (exact | shifted) & self.below
-            visit = self._visit
-            leaf = self.leaf
-            if leaf is None:
-                for w in range(v, self.u + 1):
-                    visit(w, exact, high, total, smooth)
-            else:
-                sums = exact | 1 | high << cap
-                settle = self._settle
-                for w in range(v, self.u + 1):
-                    if not (sums & leaf[w] and settle(w, total, depth)):
-                        visit(w, exact, high, total, smooth)
-        stack.pop()
+        budget = self.budget
+        deeper = depth < self.max_len
+        top = self.u + 1
+        nxt = terms.start
+        for v in self._children(terms, sums, exact, total, smooth, depth - 1):
+            # the settled leaves before v, then v
+            self.nodes += v - nxt + 1
+            if self.nodes > budget:
+                raise over_budget(budget)
+            nxt = v + 1
+            # profile_step, inlined: a call per node would cost the scan about 3%
+            shifted = (exact << v) | (1 << v)
+            child_high = high
+            if high:
+                d = v % n
+                child_high |= ((high << d) | (high >> (n - d))) & self.nmask
+            over = shifted >> cap
+            while over:
+                low = over & -over
+                child_high |= 1 << ((cap + low.bit_length() - 1) % n)
+                over ^= low
+            child_total = total + v
+            child_smooth = smooth and v <= 1 + total
+            stack.append(v)
+            if self._node(depth, exact, child_high, child_total, child_smooth) and deeper:
+                child_exact = (exact | shifted) & self.below
+                self._descend(range(v, top), child_exact | 1 | child_high << cap, child_exact,
+                              child_high, child_total, child_smooth)
+            stack.pop()
+        if nxt < terms.stop:
+            self.nodes += terms.stop - nxt
+            if self.nodes > budget:
+                raise over_budget(budget)
+
+    def _children(self, terms: range, sums: int, exact: int, total: int, smooth: bool,
+                  depth: int):
+        raise NotImplementedError
 
     def _node(self, depth: int, parent_exact: int, high: int, total: int,
               smooth: bool) -> bool:
-        raise NotImplementedError
-
-    def _settle(self, w: int, total: int, depth: int) -> bool:
         raise NotImplementedError
 
 
@@ -277,17 +309,30 @@ class _Tally:
         self.best_len = 0
         self.best: list[tuple[int, ...]] = []
 
-    def record(self, stack: list[int]) -> None:
-        depth = len(stack)
-        self.by_len[depth] += 1
+    def record(self, prefix: list[int], lasts) -> None:
+        """Tally prefix + [w] for each w of the increasing sequence lasts."""
+        if not lasts:
+            return
+        depth = len(prefix) + 1
+        self.by_len[depth] += len(lasts)
         if depth > self.best_len:
             self.best_len = depth
-            self.best = [tuple(stack)]
-        elif depth == self.best_len and len(self.best) < WITNESS_LIMIT:
-            self.best.append(tuple(stack))
+            self.best = []
+        room = WITNESS_LIMIT - len(self.best)
+        if depth == self.best_len and room > 0:
+            head = tuple(prefix)
+            self.best.extend(head + (w,) for w in lasts[:room])
 
 
 class _Scan(_Dfs):
+    """Visits only free multisets: _children classifies every child of a node.
+
+    Each free child and each minimal idempotent-sum candidate among the
+    children of a node P has length len(P) + 1, and every multiset under a
+    free child of P is longer, so classifying them before the descent
+    keeps each length's witnesses in DFS (lexicographic) order.
+    """
+
     def __init__(self, universe, period, threshold, max_len,
                  free_bad_mode, minimal_bad_mode, node_budget):
         super().__init__(universe, period, threshold, max_len, node_budget, True)
@@ -299,46 +344,46 @@ class _Scan(_Dfs):
         self.minimal_bad = _Tally(max_len)
         self.multiples = period_multiples(threshold, period)
 
-    def _index_is_one(self) -> bool:
+    def _index_is_one(self, values) -> bool:
         n = self.n
-        return not self.rows or any(sum(row[v] for v in self.stack) == n
-                                    for _, row in self.rows)
+        return not self.rows or any(sum(row[v] for v in values) == n for _, row in self.rows)
+
+    def _bad(self, lasts, total: int, smooth: bool, mode: int, zero_sum: bool):
+        """The w in lasts with self.stack + [w] bad per mode (minimal ones if zero_sum)."""
+        if mode == 1:
+            # P + w is 1-smooth iff P is and w <= 1 + total
+            return lasts if not smooth else [w for w in lasts if w > total + 1]
+        stack = self.stack
+        bad = []
+        for w in lasts:
+            stack.append(w)
+            if mode == 2:
+                good = smooth_for_some_generator(self.rows, stack, self.n, zero_sum)
+            else:
+                good = self._index_is_one(stack)
+            stack.pop()
+            if not good:
+                bad.append(w)
+        return bad
+
+    def _children(self, terms, sums, exact, total, smooth, depth):
+        if self.minimal_bad_mode:
+            candidates = minimal_candidates(terms, exact, total, self.threshold, self.n,
+                                            self.multiples)
+            if candidates:
+                self.minimal_count[depth + 1] += len(candidates)
+                self.minimal_bad.record(self.stack, self._bad(
+                    candidates, total, smooth, self.minimal_bad_mode, True))
+        leaf = self.leaf
+        free = [w for w in terms if not sums & leaf[w]]
+        if free:
+            self.free_count[depth + 1] += len(free)
+            if self.free_bad_mode:
+                self.free_bad.record(self.stack, self._bad(
+                    free, total, smooth, self.free_bad_mode, False))
+        return free
 
     def _node(self, depth, parent_exact, high, total, smooth):
-        if high & 1:
-            # not free: a minimal idempotent-sum candidate, then prune
-            mode = self.minimal_bad_mode
-            if mode and is_minimal_extension(parent_exact, total, self.threshold, self.n,
-                                             self.multiples):
-                self.minimal_count[depth] += 1
-                if mode == 1:
-                    bad = not smooth
-                elif mode == 2:
-                    bad = not smooth_for_some_generator(self.rows, self.stack, self.n, True)
-                else:
-                    bad = not self._index_is_one()
-                if bad:
-                    self.minimal_bad.record(self.stack)
-            return False
-        self.free_count[depth] += 1
-        mode = self.free_bad_mode
-        if mode:
-            if mode == 1:
-                bad = not smooth
-            else:
-                bad = not smooth_for_some_generator(self.rows, self.stack, self.n, False)
-            if bad:
-                self.free_bad.record(self.stack)
-        return True
-
-    def _settle(self, w, total, depth):
-        # a non-free child is a leaf; only a minimal candidate needs its visit
-        total += w
-        if self.minimal_bad_mode and total >= self.threshold and not total % self.n:
-            return False
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise over_budget(self.budget)
         return True
 
 
@@ -350,12 +395,12 @@ def scan(universe: int, period: int, threshold: int, max_len: int,
     Reaches exactly the nondecreasing multisets over [1, universe] whose
     proper prefixes are all free, up to length max_len, with the smallest
     element in [first_lo, first_hi], and counts each in nodes.  It visits
-    the free ones, the first terms, and the not-free ones that may be
-    minimal (minimal_bad_mode set, index total >= threshold and a multiple
-    of period); every other not-free one is a settled leaf, decided from
-    its parent's masks and counted without a visit.  Each visited multiset
-    is classified as free or as a minimal idempotent-sum candidate, and
-    the "bad" ones are tallied per the modes above.
+    the free ones only.  Every not-free one is a child of a free multiset
+    and a settled leaf: decided from its parent's masks, classified there
+    if it is a minimal idempotent-sum candidate (minimal_bad_mode set), and
+    counted without a visit.  The free multisets and the minimal
+    candidates are counted per length, and the "bad" ones are tallied per
+    the modes above.
     """
     state = _Scan(universe, period, threshold, max_len,
                   free_bad_mode, minimal_bad_mode, node_budget)
@@ -395,6 +440,24 @@ class _Verify(_Dfs):
             self.shape_hits[label] = 0
             self.shape_prefixes.update(shape[:i] for i in range(1, len(shape)))
 
+    def _children(self, terms, sums, exact, total, smooth, depth):
+        leaf = self.leaf
+        if leaf is None:
+            return terms
+        # settle mode, tail regime: a non-free child is not a violation, so
+        # it is settled, unless it is a listed shape or a proper prefix of
+        # one, which it can be only at the root or under such a prefix
+        children = []
+        shapes, prefixes = self.shape_labels, self.shape_prefixes
+        shaped = shapes and (not depth or tuple(self.stack) in prefixes)
+        for w in terms:
+            if sums & leaf[w] and not (shaped and ((child := (*self.stack, w)) in shapes
+                                                   or child in prefixes)):
+                self.total += (depth + 1 >= self.len_lo) + self._extensions(w, depth + 1)
+            else:
+                children.append(w)
+        return children
+
     def _node(self, depth, parent_exact, high, total, smooth):
         if depth >= self.len_lo:
             self.total += 1
@@ -422,20 +485,6 @@ class _Verify(_Dfs):
         spare = self.u - last
         return sum(comb(spare + j, j) for j in
                    range(max(1, self.len_lo - depth), self.max_len - depth + 1))
-
-    def _settle(self, w, total, depth):
-        # only in settle mode and the tail regime: the child is not free and
-        # not a violation, unless it is a listed shape or a proper prefix of one
-        if self.shape_labels:
-            child = (*self.stack, w)
-            if child in self.shape_labels or child in self.shape_prefixes:
-                return False
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise over_budget(self.budget)
-        depth += 1
-        self.total += (depth >= self.len_lo) + self._extensions(w, depth)
-        return True
 
 
 def verify_window(universe: int, period: int, threshold: int, tail_regime: bool,

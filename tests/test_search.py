@@ -35,6 +35,7 @@ from idemfree import (
 from idemfree.search import (
     InvariantResult,
     VerificationReport,
+    case_shapes,
     default_free_cap,
     default_minimal_cap,
     max_free_length,
@@ -182,18 +183,73 @@ def test_scan_witnesses_match_oracle(k, n):
     def group_smooth(s, zero_sum):
         return oracles.smooth_for_some_unit_oracle(n, [v % n for v in s], zero_sum)
 
+    def index_not_one(s):
+        # the period-1 group has no generator, and the scan counts its index as one
+        index = oracles.sequence_index_oracle(n, [v % n for v in s])
+        return index is not None and index != 1
+
     cases = [
         ("free", 1, default_free_cap(p), lambda s: free(s) and not oracles.one_smooth_oracle(s)),
         ("free", 2, default_free_cap(p), lambda s: free(s) and not group_smooth(s, False)),
         ("minimal", 1, default_minimal_cap(p),
          lambda s: minimal(s) and not oracles.one_smooth_oracle(s)),
         ("minimal", 2, default_minimal_cap(p), lambda s: minimal(s) and not group_smooth(s, True)),
+        ("minimal", 3, default_minimal_cap(p), lambda s: minimal(s) and index_not_one(s)),
     ]
     for kind, mode, cap, bad in cases:
         modes = (mode, 0) if kind == "free" else (0, mode)
         out = _kernels.scan(u, n, t, cap, 1, u, *modes, 10**8)
         got = (out[f"{kind}_bad_len"], [tuple(w) for w in out[f"{kind}_bad_witnesses"]])
         assert got == _longest_bad(k, n, cap, bad), (kind, mode)
+
+
+@pytest.mark.parametrize("k,n", SMALL_PAIRS)
+def test_minimal_candidates_are_the_minimal_extensions(k, n):
+    # the closed-form progression of minimal children, against the mask
+    # test child by child, at every free multiset the scan descends from
+    p = P(k, n)
+    u, t = p.size, p.threshold
+    multiples = _kernels.period_multiples(t, n)
+    free = [()]
+    for prefix in free:
+        if len(prefix) == default_minimal_cap(p):
+            continue
+        exact, _ = _kernels.profile(prefix, t, n)
+        total = sum(prefix)
+        terms = range(prefix[-1] if prefix else 1, u + 1)
+        want = [w for w in terms
+                if _kernels.is_minimal_extension(exact, total + w, t, n, multiples)]
+        got = _kernels.minimal_candidates(terms, exact, total, t, n, multiples)
+        assert list(got) == want, prefix
+        free.extend(prefix + (w,) for w in terms
+                    if not _kernels.profile(prefix + (w,), t, n)[1] & 1)
+
+
+def _budget_ladder(run):
+    """run(budget) refuses at one below its unbudgeted node count and matches at it."""
+    want = run(10**8)
+    budget = want["nodes"] - 1
+    with pytest.raises(BudgetError) as err:
+        run(budget)
+    assert str(err.value) == str(_kernels.over_budget(budget))
+    assert run(want["nodes"]) == want
+
+
+@pytest.mark.parametrize("k,n", SMALL_PAIRS)
+def test_budget_ladder_around_every_node_count(k, n):
+    # settled leaves count in DFS order with visits, so the budget that
+    # refuses is exactly one below the node count, in every scan mode and
+    # in settle-mode windows with and without the case shapes
+    p = P(k, n)
+    u, t = p.size, p.threshold
+    for modes in [(1, 0), (0, 1), (2, 0), (0, 2), (0, 3)]:
+        cap = default_free_cap(p) if modes[0] else default_minimal_cap(p)
+        _budget_ladder(lambda budget: _kernels.scan(u, n, t, cap, 1, u, *modes, budget))
+    hi = structure_bound(p) + 3
+    shape_lists = [()] + ([case_shapes(p)] if k > n else [])
+    for shapes in shape_lists:
+        _budget_ladder(lambda budget: _kernels.verify_window(
+            u, n, t, k > n, 1, hi, 1, u, budget, True, shapes))
 
 
 def test_searches_run_in_process_at_any_workers():
