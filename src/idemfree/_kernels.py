@@ -7,9 +7,10 @@ high mask marks an achievable sum >= cap with residue r mod the period.
 
 This module is the one home of each sequence predicate that classify and
 the DFS share: the subset-sum step (profile_step), the generator table
-(generator_rows), the 1-smooth ladder test (is_one_smooth_sorted) and the
-minimality rule (is_minimal_extension); idemfree.classify checks outside
-input and calls them.
+(generator_rows), the 1-smooth ladder test (is_one_smooth_sorted, and
+_ladder for every one-term extension at once) and the minimality rule
+(is_minimal_extension); idemfree.classify checks outside input and calls
+them.
 
 scan() and verify_window() walk the same depth-first enumeration of
 nondecreasing multisets (_Dfs) and differ only in which children of a
@@ -19,6 +20,13 @@ its parent's masks, a minimal idempotent-sum candidate classified there
 in closed form (minimal_candidates), and counted without a visit.
 verify_window checks the structure condition and, in settle mode, counts
 the subtree under a non-free multiset in closed form.
+
+In the group regime (threshold == period < universe) every predicate of
+scan but mode 1 reads residues only, so scan over the whole first-term
+range walks residue multisets there, the walk of the index-1 semigroup,
+and counts each residue multiset's index lifts in closed form (_LiftScan):
+per-length counts, witnesses and nodes are those of the walk over indices.
+Mode 1 and single-first-term shards walk indices.
 
 Free/minimal/bad classification modes for scan():
   free_bad_mode     0 none, 1 bad = index multiset not 1-smooth,
@@ -31,7 +39,10 @@ Free/minimal/bad classification modes for scan():
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
+from heapq import merge
+from itertools import groupby, islice, product
 from math import comb, gcd
 
 from idemfree.errors import BudgetError
@@ -106,6 +117,27 @@ def is_one_smooth_sorted(values) -> bool:
             return False
         reach += v
     return True
+
+
+def _ladder(ds: list[int]) -> tuple[int, int]:
+    """(reach, need) of a nondecreasing D: D + [x] is 1-smooth iff need <= x <= reach + 1.
+
+    A gap of D is a term y above 1 + the sum of the terms below it; reach
+    is the sum of the terms below the least gap (of all terms if none) and
+    need the largest y - 1 - that sum over the gaps (0 if none).  D + [x]
+    is 1-smooth iff x closes every gap, so x is at least need and below
+    every gap, and x itself is at most 1 + the sum below it.  The terms
+    below the least gap form a 1-smooth ladder of total reach, so that
+    holds iff x <= reach + 1, which is below the least gap.
+    """
+    total, reach, need = 0, None, 0
+    for y in ds:
+        if y > total + 1:
+            if reach is None:
+                reach = total
+            need = max(need, y - 1 - total)
+        total += y
+    return (total if reach is None else reach), need
 
 
 def smooth_for_some_generator(rows, values, period: int, zero_sum: bool) -> bool:
@@ -218,7 +250,9 @@ class _Dfs:
     from P's masks; the walk counts it without a visit, adding each run of
     settled leaves to nodes just before the next visit and the run after
     the last visit at the end, with the budget check each time.  nodes
-    thus counts visited multisets and settled leaves in DFS order.
+    thus counts visited multisets and settled leaves in DFS order.  A
+    policy counts any other multisets it reaches with _count (the lift
+    leaves of _LiftScan).
 
     Each visited multiset goes to _node(depth, parent_exact, high, total,
     smooth) with its length, the exact mask of its parent, its high mask,
@@ -292,6 +326,12 @@ class _Dfs:
             if self.nodes > budget:
                 raise over_budget(budget)
 
+    def _count(self, reached: int) -> None:
+        """Add reached multisets to nodes, refusing once nodes exceeds the budget."""
+        self.nodes += reached
+        if self.nodes > self.budget:
+            raise over_budget(self.budget)
+
     def _children(self, terms: range, sums: int, exact: int, total: int, smooth: bool,
                   depth: int):
         raise NotImplementedError
@@ -309,12 +349,12 @@ class _Tally:
         self.best_len = 0
         self.best: list[tuple[int, ...]] = []
 
-    def record(self, prefix: list[int], lasts) -> None:
-        """Tally prefix + [w] for each w of the increasing sequence lasts."""
+    def record(self, prefix: list[int], lasts, count: int) -> None:
+        """Tally prefix + [w] for each w of the increasing sequence lasts, count in all."""
         if not lasts:
             return
         depth = len(prefix) + 1
-        self.by_len[depth] += len(lasts)
+        self.by_len[depth] += count
         if depth > self.best_len:
             self.best_len = depth
             self.best = []
@@ -331,6 +371,13 @@ class _Scan(_Dfs):
     children of a node P has length len(P) + 1, and every multiset under a
     free child of P is longer, so classifying them before the descent
     keeps each length's witnesses in DFS (lexicographic) order.
+
+    For modes 2 and 3, live[d] holds (total, row, reach, need) for each
+    generator row whose total over the first d terms on the stack is below
+    the period: a row at or past it can neither stay below it nor come to
+    equal it.  In mode 2, reach and need summarize the row's ladder D,
+    those terms' multipliers (_ladder): D + [x] is 1-smooth iff
+    need <= x <= reach + 1.
     """
 
     def __init__(self, universe, period, threshold, max_len,
@@ -343,48 +390,166 @@ class _Scan(_Dfs):
         self.free_bad = _Tally(max_len)
         self.minimal_bad = _Tally(max_len)
         self.multiples = period_multiples(threshold, period)
+        self.live = None
+        if {free_bad_mode, minimal_bad_mode} & {2, 3}:
+            self.live = [[]] * (max_len + 1)
+            self.live[0] = [(0, row, 0, 0) for _, row in self.rows]
+        self.ladders = 2 in (free_bad_mode, minimal_bad_mode)
 
-    def _index_is_one(self, values) -> bool:
-        n = self.n
-        return not self.rows or any(sum(row[v] for v in values) == n for _, row in self.rows)
-
-    def _bad(self, lasts, total: int, smooth: bool, mode: int, zero_sum: bool):
+    def _bad(self, lasts, total: int, smooth: bool, depth: int, mode: int, zero_sum: bool):
         """The w in lasts with self.stack + [w] bad per mode (minimal ones if zero_sum)."""
         if mode == 1:
             # P + w is 1-smooth iff P is and w <= 1 + total
             return lasts if not smooth else [w for w in lasts if w > total + 1]
-        stack = self.stack
+        n = self.n
+        live = self.live[depth]
+        if mode == 3:
+            if not self.rows:
+                return []
+            return [w for w in lasts if not any(t + row[w] == n for t, row, _, _ in live)]
         bad = []
         for w in lasts:
-            stack.append(w)
-            if mode == 2:
-                good = smooth_for_some_generator(self.rows, stack, self.n, zero_sum)
+            for t, row, reach, need in live:
+                x = row[w]
+                if (t + x == n if zero_sum else t + x < n) and need <= x <= reach + 1:
+                    break
             else:
-                good = self._index_is_one(stack)
-            stack.pop()
-            if not good:
                 bad.append(w)
         return bad
 
-    def _children(self, terms, sums, exact, total, smooth, depth):
+    def _children(self, terms, sums, exact, total, smooth, depth, weigh=len):
+        """Count and classify P's children, weighing each list of them with weigh."""
+        if depth and self.live is not None:
+            n, stack = self.n, self.stack
+            v = stack[-1]
+            live = []
+            for t, row, reach, need in self.live[depth - 1]:
+                x = row[v]
+                if t + x >= n:
+                    continue
+                if not self.ladders:
+                    live.append((t + x, row, 0, 0))
+                elif need <= x <= reach + 1:
+                    live.append((t + x, row, t + x, 0))
+                elif not need and x > t + 1:
+                    # a smooth ladder with x on top: x is its one gap
+                    live.append((t + x, row, t, x - 1 - t))
+                else:
+                    live.append((t + x, row, *_ladder(sorted([row[w] for w in stack]))))
+            self.live[depth] = live
         if self.minimal_bad_mode:
             candidates = minimal_candidates(terms, exact, total, self.threshold, self.n,
                                             self.multiples)
             if candidates:
-                self.minimal_count[depth + 1] += len(candidates)
-                self.minimal_bad.record(self.stack, self._bad(
-                    candidates, total, smooth, self.minimal_bad_mode, True))
+                self.minimal_count[depth + 1] += weigh(candidates)
+                bad = self._bad(candidates, total, smooth, depth, self.minimal_bad_mode, True)
+                self.minimal_bad.record(self.stack, bad, weigh(bad))
         leaf = self.leaf
         free = [w for w in terms if not sums & leaf[w]]
         if free:
-            self.free_count[depth + 1] += len(free)
+            self.free_count[depth + 1] += weigh(free)
             if self.free_bad_mode:
-                self.free_bad.record(self.stack, self._bad(
-                    free, total, smooth, self.free_bad_mode, False))
+                bad = self._bad(free, total, smooth, depth, self.free_bad_mode, False)
+                self.free_bad.record(self.stack, bad, weigh(bad))
         return free
 
     def _node(self, depth, parent_exact, high, total, smooth):
         return True
+
+    def _witnesses(self, tally: _Tally) -> list[tuple[int, ...]]:
+        return tally.best
+
+    def result(self) -> dict:
+        """scan's result dict, once run has returned."""
+        return {
+            "nodes": self.nodes,
+            "free_count_by_len": self.free_count,
+            "minimal_count_by_len": self.minimal_count,
+            "free_bad_by_len": self.free_bad.by_len,
+            "minimal_bad_by_len": self.minimal_bad.by_len,
+            "free_bad_len": self.free_bad.best_len,
+            "free_bad_witnesses": self._witnesses(self.free_bad),
+            "minimal_bad_len": self.minimal_bad.best_len,
+            "minimal_bad_witnesses": self._witnesses(self.minimal_bad),
+        }
+
+
+def _lifts(residues: tuple[int, ...], period: int, lifted: int):
+    """The index lifts of a residue multiset, in lexicographic order.
+
+    residues is nondecreasing over [1, period], period standing for 0, and
+    each residue r < lifted is also the index r + period.  A lift moves c_r
+    of the m_r copies of each such r up; as a sorted tuple it holds the
+    unmoved residues, then the moved ones, so keeping more copies of the
+    least r unmoved comes first: the lifts come in the lexicographic order
+    of (c_r), r increasing.
+    """
+    runs = [(r, len(list(copies))) for r, copies in groupby(residues) if r < lifted]
+    fixed = residues[sum(m for _, m in runs):]
+    for moved in product(*(range(m + 1) for _, m in runs)):
+        kept, up = [], []
+        for (r, m), c in zip(runs, moved):
+            kept += [r] * (m - c)
+            up += [r + period] * c
+        yield (*kept, *fixed, *up)
+
+
+class _LiftScan(_Scan):
+    """The group-regime scan: residue multisets, each weighed by its index lifts.
+
+    The threshold is the period n, so every predicate of the scan but mode
+    1 reads residues only.  The walk is the index-1 walk over 1..n, n
+    standing for residue 0, and residue r < lifted (the index k) is also
+    the index r + n.  A residue multiset R with multiplicities m_r has
+    weight = prod_{r < k} (m_r + 1) index lifts.  The index walk reaches
+    sum over R's lifts F of (n + k - max F) children of them, that is
+    n + 1 - max R, the children here, plus
+    spare = k - 1 + sum_{r* < k in R} m_r* * prod_{r < r*} (m_r + 1) * (k - r*),
+    which _children adds to nodes before any child of R is visited.  base
+    is weight without the factor of R's last term.  Indexed by length, the
+    three hold for the multiset on the stack.
+    """
+
+    def __init__(self, period, max_len, free_bad_mode, minimal_bad_mode, node_budget, lifted):
+        super().__init__(period, period, period, max_len,
+                         free_bad_mode, minimal_bad_mode, node_budget)
+        self.lifted = lifted
+        self.weight = [1] * (max_len + 1)
+        self.base = [1] * (max_len + 1)
+        self.spare = [lifted - 1] * (max_len + 1)
+
+    def _weigh(self, lasts) -> int:
+        """The lifts of self.stack + [w] over the increasing sequence lasts."""
+        depth = len(self.stack)
+        weight = self.weight[depth]
+        # a w < lifted adds base if it repeats the last term, else weight
+        lifts = bisect_left(lasts, self.lifted)
+        count = weight * (len(lasts) + lifts)
+        if lifts and depth and lasts[0] == self.stack[-1]:
+            count += self.base[depth] - weight
+        return count
+
+    def _children(self, terms, sums, exact, total, smooth, depth):
+        if depth:
+            stack, lifted = self.stack, self.lifted
+            v = stack[-1]
+            weight = self.weight[depth - 1]
+            base = weight if depth == 1 or v > stack[-2] else self.base[depth - 1]
+            self.base[depth] = base
+            if v < lifted:
+                self.weight[depth] = weight + base
+                self.spare[depth] = self.spare[depth - 1] + base * (lifted - v)
+            else:
+                self.weight[depth] = weight
+                self.spare[depth] = self.spare[depth - 1]
+        self._count(self.spare[depth])
+        return super()._children(terms, sums, exact, total, smooth, depth, self._weigh)
+
+    def _witnesses(self, tally: _Tally) -> list[tuple[int, ...]]:
+        # a residue multiset is its own least lift, so the first WITNESS_LIMIT
+        # residue multisets hold the first WITNESS_LIMIT lifts
+        return list(islice(merge(*(_lifts(r, self.n, self.lifted) for r in tally.best)),
+                           WITNESS_LIMIT))
 
 
 def scan(universe: int, period: int, threshold: int, max_len: int,
@@ -401,21 +566,26 @@ def scan(universe: int, period: int, threshold: int, max_len: int,
     counted without a visit.  The free multisets and the minimal
     candidates are counted per length, and the "bad" ones are tallied per
     the modes above.
+
+    In the group regime (threshold == period < universe, so index k =
+    universe - period + 1 >= 2), with neither mode 1 and the whole
+    first-term range, the walk is over residue multisets instead
+    (_LiftScan).  It visits the free residue multisets, counts each with
+    its index lifts in closed form, and returns the same dict: the same
+    counts, and nodes the same total in another order, so the same budget
+    refusals.  The witnesses are the first lifts of the longest bad residue
+    multisets.
     """
-    state = _Scan(universe, period, threshold, max_len,
-                  free_bad_mode, minimal_bad_mode, node_budget)
-    state.run(first_lo, first_hi)
-    return {
-        "nodes": state.nodes,
-        "free_count_by_len": state.free_count,
-        "minimal_count_by_len": state.minimal_count,
-        "free_bad_by_len": state.free_bad.by_len,
-        "minimal_bad_by_len": state.minimal_bad.by_len,
-        "free_bad_len": state.free_bad.best_len,
-        "free_bad_witnesses": state.free_bad.best,
-        "minimal_bad_len": state.minimal_bad.best_len,
-        "minimal_bad_witnesses": state.minimal_bad.best,
-    }
+    if (threshold == period < universe and 1 not in (free_bad_mode, minimal_bad_mode)
+            and (first_lo, first_hi) == (1, universe)):
+        state = _LiftScan(period, max_len, free_bad_mode, minimal_bad_mode, node_budget,
+                          universe - period + 1)
+        state.run(1, period)
+    else:
+        state = _Scan(universe, period, threshold, max_len,
+                      free_bad_mode, minimal_bad_mode, node_budget)
+        state.run(first_lo, first_hi)
+    return state.result()
 
 
 class _Verify(_Dfs):

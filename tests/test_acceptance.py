@@ -30,6 +30,7 @@ from idemfree.search import (
     CASE_ODD_HEAD_TWOS,
     CASE_ONES_PLUS_HALF,
     critical_length,
+    expected_thresholds,
     explore_bounds,
     free_smooth_threshold,
     index_threshold,
@@ -154,6 +155,28 @@ def test_criterion_3_group_regime_thresholds():
                 assert (free.value, minimal.value) == group_regime_table(n), (k, n)
 
 
+def test_group_regime_thresholds_beyond_the_table():
+    """The paper's k <= n thresholds for periods 10..16, every index k <= n.
+
+    For k <= n a subsequence sum is idempotent iff it is a positive
+    multiple of n, so the free-smooth statement is Savchev and Chen's
+    structure theorem for zero-sum free sequences over Z/n of length
+    above n/2 (Long zero-free sequences in finite cyclic groups, Discrete
+    Math. 307 (2007)), which the paper generalizes.  Both thresholds must
+    equal expected_thresholds exactly, with no frontier hit.
+    """
+    with criterion("3b", "group-regime thresholds for periods 10..16"):
+        for n in range(10, 17):
+            for k in range(1, n + 1):
+                want = expected_thresholds(k, n)
+                free = free_smooth_threshold(P(k, n))
+                minimal = minimal_smooth_threshold(P(k, n))
+                assert not free.frontier_hit and not minimal.frontier_hit, (k, n)
+                assert free.value == want["free_smooth_lo"] == want["free_smooth_hi"], (k, n)
+                assert (minimal.value == want["minimal_smooth_lo"]
+                        == want["minimal_smooth_hi"]), (k, n)
+
+
 def test_criterion_4_index_threshold_values():
     with criterion(4, "index threshold over residue groups of order 1..10"):
         for n in range(1, 11):
@@ -161,6 +184,27 @@ def test_criterion_4_index_threshold_values():
             result = index_threshold(n)
             assert not result.frontier_hit, n
             assert result.value == want, (n, result.value, want)
+
+
+def test_index_threshold_literature_values():
+    """Published index theorems over Z/n, for n = 6 and 8..24.
+
+    Every minimal zero-sum sequence over Z/n of length at least
+    n//2 + 2 has index 1 (Savchev and Chen, Discrete Math. 2007; Yuan,
+    J. Combin. Theory Ser. A 2007), and for these n the scan finds one of
+    length n//2 + 1 that does not, so the index threshold is n//2 + 2.
+    Li, Plyley, Yuan and Zeng (Minimal zero-sum sequences of length four
+    over finite cyclic groups, J. Number Theory 130 (2010)) proved that
+    every minimal zero-sum sequence of length 4 over Z/n with
+    gcd(n, 6) = 1 has index 1: no bad multiset of length 4.
+    """
+    with criterion("4b", "index threshold n//2 + 2 for n = 6 and 8..24"):
+        for n in [6, *range(8, 25)]:
+            result = index_threshold(n)
+            assert not result.frontier_hit, n
+            assert result.value == n // 2 + 2, (n, result.value)
+            if gcd(n, 6) == 1:
+                assert result.bad_by_length[4] == 0, n
 
 
 def test_criterion_5_tail_regime_formulas():

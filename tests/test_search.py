@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 from functools import cache
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
@@ -252,6 +253,37 @@ def test_budget_ladder_around_every_node_count(k, n):
             u, n, t, k > n, 1, hi, 1, u, budget, True, shapes))
 
 
+def _outcome(run, budget):
+    """run(budget), or the text of its refusal."""
+    try:
+        return run(budget)
+    except BudgetError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("k,n", [(k, n) for n in range(2, 11) for k in range(2, n + 1)])
+def test_group_scan_matches_index_walk(k, n):
+    # in the group regime scan walks residue multisets and counts their
+    # index lifts in closed form; the index walk over [1, k+n-1] must give
+    # the same dict, nodes and witnesses included, and the same result or
+    # refusal text at every budget of a ladder around the node count
+    u = k + n - 1
+
+    def index_walk(budget):
+        state = _kernels._Scan(u, n, n, cap, *modes, budget)
+        state.run(1, u)
+        return state.result()
+
+    for modes in [(2, 0), (0, 2), (2, 2), (0, 3)]:
+        for cap in (2 * n - 1, 2 * n):
+            want = index_walk(10**8)
+            assert _kernels.scan(u, n, n, cap, 1, u, *modes, 10**8) == want, (modes, cap)
+            nodes = want["nodes"]
+            for budget in sorted({0, 1, nodes // 3, nodes // 2, nodes - 1, nodes}):
+                got = _outcome(lambda b: _kernels.scan(u, n, n, cap, 1, u, *modes, b), budget)
+                assert got == _outcome(index_walk, budget), (modes, cap, budget)
+
+
 def test_searches_run_in_process_at_any_workers():
     # --workers is accepted and ignored: a fresh interpreter running the CLI
     # at --workers 8 never imports multiprocessing and prints the --workers 1 bytes
@@ -310,6 +342,17 @@ def test_leaf_masks_match_their_bitwise_definition():
                         mask |= 1 << s
                 want.append(mask)
             assert _kernels._leaf_masks(p.size, n, t) == tuple(want), (k, n)
+
+
+def test_ladder_summary_decides_every_one_term_extension():
+    # (reach, need) of D: D + [x] is 1-smooth iff need <= x <= reach + 1,
+    # against the sorted-prefix test for every D of up to 5 terms from 1..7
+    for size in range(6):
+        for ds in combinations_with_replacement(range(1, 8), size):
+            reach, need = _kernels._ladder(list(ds))
+            for x in range(1, 20):
+                want = _kernels.is_one_smooth_sorted(sorted(ds + (x,)))
+                assert (need <= x <= reach + 1) == want, (ds, x)
 
 
 def test_scan_budget_error_text():
