@@ -26,7 +26,10 @@ scan but mode 1 reads residues only, so scan over the whole first-term
 range walks residue multisets there, the walk of the index-1 semigroup,
 and counts each residue multiset's index lifts in closed form (_LiftScan):
 per-length counts, witnesses and nodes are those of the walk over indices.
-Mode 1 and single-first-term shards walk indices.
+A settle-mode group window of verify_window over the whole first-term
+range is that walk in mode 2 (_group_window): its violations are the
+lifts of the free residue multisets that are not g-smooth.  Mode 1,
+single-first-term shards and windows without settle walk indices.
 
 Free/minimal/bad classification modes for scan():
   free_bad_mode     0 none, 1 bad = index multiset not 1-smooth,
@@ -364,6 +367,22 @@ class _Tally:
             self.best.extend(head + (w,) for w in lasts[:room])
 
 
+class _Every(_Tally):
+    """Per-length counts of one kind of bad multiset, and every one from length lo on."""
+
+    def __init__(self, max_len: int, lo: int):
+        super().__init__(max_len)
+        self.lo = lo
+        self.every: list[tuple[int, ...]] = []
+
+    def record(self, prefix: list[int], lasts, count: int) -> None:
+        depth = len(prefix) + 1
+        self.by_len[depth] += count
+        if depth >= self.lo:
+            head = tuple(prefix)
+            self.every.extend(head + (w,) for w in lasts)
+
+
 class _Scan(_Dfs):
     """Visits only free multisets: _children classifies every child of a node.
 
@@ -652,9 +671,39 @@ class _Verify(_Dfs):
     def _extensions(self, last: int, depth: int) -> int:
         """The in-window proper extensions of a multiset of length depth ending in last."""
         # C(u-last+j, j) multisets add j terms from [last, u]
-        spare = self.u - last
-        return sum(comb(spare + j, j) for j in
-                   range(max(1, self.len_lo - depth), self.max_len - depth + 1))
+        return _multisets(self.u - last + 1, max(1, self.len_lo - depth), self.max_len - depth)
+
+
+def _multisets(choices: int, lo: int, hi: int) -> int:
+    """The multisets of [1, choices] with length in [lo, hi], for lo >= 1."""
+    # sum of C(choices-1+j, j) over j in [lo, hi], by the hockey-stick identity
+    return comb(choices + hi, hi) - comb(choices + lo - 1, lo - 1) if lo <= hi else 0
+
+
+def _group_window(universe: int, period: int, len_lo: int, len_hi: int,
+                  node_budget: int) -> dict:
+    """verify_window in settle mode over the group regime, by scan's residue walk.
+
+    The index walk visits the multisets whose proper prefixes are all free,
+    the ones scan counts in nodes, and a not-free multiset is not g-smooth.
+    """
+    lifted = universe - period + 1
+    # any period residues have a zero-sum subsequence: the walk ends by length period
+    top = min(len_hi, period)
+    if lifted > 1:
+        state = _LiftScan(period, top, 2, 0, node_budget, lifted)
+    else:
+        state = _Scan(period, period, period, top, 2, 0, node_budget)
+    lo = max(len_lo, 1)
+    state.free_bad = bad = _Every(top, lo)
+    state.run(1, period)
+    return {
+        "nodes": state.nodes,
+        "total": _multisets(universe, lo, len_hi),
+        "violations": list(merge(*(_lifts(r, period, lifted) for r in bad.every))),
+        "condition_hits": sum(state.free_count[lo:]) - sum(bad.by_len[lo:]),
+        "shape_hits": {},
+    }
 
 
 def verify_window(universe: int, period: int, threshold: int, tail_regime: bool,
@@ -669,20 +718,27 @@ def verify_window(universe: int, period: int, threshold: int, tail_regime: bool,
 
     settle=True skips the subtree under every node that is not free,
     adding its in-window multisets to total in closed form; nodes counts
-    visited multisets and, in the tail regime, settled leaves.  Each
-    skipped multiset is not free (that is upward-closed) and fails the
-    condition, which implies freeness: it keeps every subsequence sum below
-    the threshold (tail) or off 0 mod the period (group).  So none is a
-    violation.  In the tail regime a not-free child of a free multiset is
-    itself settled without a visit, decided from its parent's masks: its
-    index total is at least the threshold, so it fails the condition by
-    arithmetic.  In the group regime every node is visited and its
-    condition checked.  shapes, a sequence of (label, multiset) pairs,
-    makes each listed multiset predict free as well (the critical-case
-    split); a shape and a proper prefix of one are never skipped.  Settle
-    mode adds the keys condition_hits and shape_hits (per label), both over
-    the window.  Without settle every multiset up to len_hi is visited.
+    the multisets the walk over indices visits and, in the tail regime,
+    the leaves it settles.  Each skipped multiset is not free (that is
+    upward-closed) and fails the condition, which implies freeness: it
+    keeps every subsequence sum below the threshold (tail) or off 0 mod the
+    period (group).  So none is a violation.  In the tail regime a not-free
+    child of a free multiset is itself settled without a visit, decided
+    from its parent's masks: its index total is at least the threshold, so
+    it fails the condition by arithmetic.  In the group regime over the
+    whole first-term range, without shapes, the walk is over residue
+    multisets (_group_window): the lifts of a free residue multiset are all
+    free and all g-smooth or none, so the violations are every lift, in
+    lexicographic order, of each free one that is not g-smooth.  shapes, a
+    sequence of (label, multiset) pairs, makes each listed multiset predict
+    free as well (the critical-case split); a shape and a proper prefix of
+    one are never skipped.  Settle mode adds the keys condition_hits and
+    shape_hits (per label), both over the window.  Without settle every
+    multiset up to len_hi is visited.
     """
+    if (settle and not tail_regime and not shapes and threshold == period
+            and (first_lo, first_hi) == (1, universe)):
+        return _group_window(universe, period, len_lo, len_hi, node_budget)
     state = _Verify(universe, period, threshold, tail_regime,
                     len_lo, len_hi, node_budget, settle, shapes)
     state.run(first_lo, first_hi)

@@ -8,7 +8,7 @@ import random
 from bisect import bisect_left
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from itertools import combinations_with_replacement
-from math import gcd
+from math import comb, gcd
 
 from idemfree import _kernels
 from idemfree.classify import (
@@ -85,6 +85,25 @@ def test_structure_window_and_case_split_to_sixteen():
         assert verify_structure(params).counterexamples == (), (k, n)
         if k > n:
             assert verify_critical_cases(params).counterexamples == (), (k, n)
+
+
+def test_group_regime_structure_beyond_sixteen():
+    """Freeness equals g-smoothness in the default window for periods 10..16.
+
+    For k <= n this is Savchev and Chen's structure theorem for zero-sum
+    free sequences over Z/n of length above n/2 (Long zero-free sequences
+    in finite cyclic groups, Discrete Math. 307 (2007)), checked over every
+    index k <= n, which the residue walk with closed-form lift counts makes
+    cheap.
+    """
+    with criterion("1b", "group-regime structure window for periods 10..16"):
+        for n in range(10, 17):
+            for k in range(1, n + 1):
+                report = verify_structure(P(k, n))
+                assert report.counterexamples == (), (k, n)
+                u, lo, hi = k + n - 1, report.min_length, report.max_length
+                assert (report.total_sequences
+                        == sum(comb(u - 1 + length, length) for length in range(lo, hi + 1)))
 
 
 def case_shapes(k, n):

@@ -6,6 +6,8 @@ import json
 import os
 import shutil
 import subprocess
+import time
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -92,6 +94,23 @@ def test_verify_structure_ok(capsys):
     assert payload["min_length"] == 4
     assert payload["max_length"] == 6
     assert payload["total_sequences"] > 0
+
+
+@pytest.mark.parametrize("k,n,bound", [(7, 3, 6), (4, 4, 3)])
+def test_verify_cost_does_not_grow_with_max_length(capsys, k, n, bound):
+    # every multiset longer than the free ones is counted in closed form, so
+    # a window to length 10**20 costs what a short one does, in both regimes
+    hi = 10**20
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "verify", "--k", str(k), "--n", str(n),
+                           "--max-length", str(hi))
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["counterexamples"] == []
+    # sum of C(u-1+L, L) over L in [bound, hi], by the hockey-stick identity
+    u = k + n - 1
+    assert payload["total_sequences"] == comb(u + hi, hi) - comb(u + bound - 1, bound - 1)
 
 
 def test_verify_cases_ok(capsys):
@@ -347,8 +366,9 @@ def test_console_script_installed():
     assert json.loads(proc.stdout)["value"] == 5
 
 
-# argv fuzzing: k, n <= 12, --cap <= 30, --max-length <= 14 and --budget <= 3000
-# keep every search small; a huge --k or --cap sizes masks and per-length lists
+# argv fuzzing: k, n <= 12, --cap <= 30, --max-length <= 14 or huge, --budget <= 3000
+# keep every search small; a huge --k or --cap sizes masks and per-length lists,
+# a huge --max-length only the closed-form counts
 _SEQ_TOKENS = ("1", "2^3", "1^3,5^2", "7", "0", "-1", "1^0", "2^-1", "^2", "1^", "a", "",
                "1,,2", "3^2^2", " 4 ", "1.5")
 _PAIR_TOKENS = ("4-3", "a:b", "4:", ":3", "4:3:2", " 5 : 3 ", "")
@@ -383,7 +403,8 @@ def _cli_argv(draw, cache_dir):
                            .map(",".join),
                            st.text(alphabet="0123456789^,- x", max_size=6)),
         "--what": _choice(("structure", "cases"), "all"),
-        "--max-length": _int_text(-3, 14),
+        "--max-length": st.one_of(_int_text(-3, 14),
+                                  st.sampled_from((10**6, 10**20)).map(str)),
         "--which": _choice(("free-smooth", "minimal-smooth", "index"), "both"),
         "--kind": _choice(("free", "minimal"), "other"),
         "--cap": _int_text(-3, 30),

@@ -284,6 +284,34 @@ def test_group_scan_matches_index_walk(k, n):
                 assert got == _outcome(index_walk, budget), (modes, cap, budget)
 
 
+@pytest.mark.parametrize("k,n", [(k, n) for n in range(1, 11) for k in range(1, n + 1)])
+def test_group_verify_matches_index_walk(k, n):
+    # in the group regime a settle-mode window over the whole first-term
+    # range walks residue multisets and counts their index lifts in closed
+    # form; the index walk over [1, k+n-1] must give the same dict, nodes
+    # and every violation in order included, and the same result or refusal
+    # text at every budget of a ladder around the node count.  Windows from
+    # length 1 hold violations, so the merge of their lifts is exercised.
+    u = k + n - 1
+
+    def index_walk(budget):
+        state = _kernels._Verify(u, n, n, False, lo, hi, budget, True, ())
+        state.run(1, u)
+        return {"nodes": state.nodes, "total": state.total, "violations": state.violations,
+                "condition_hits": state.condition_hits, "shape_hits": state.shape_hits}
+
+    def lift_walk(budget):
+        return _kernels.verify_window(u, n, n, False, lo, hi, 1, u, budget, True)
+
+    hi = structure_bound(P(k, n)) + 3
+    for lo in (1, structure_bound(P(k, n))):
+        want = index_walk(10**8)
+        assert lift_walk(10**8) == want, lo
+        nodes = want["nodes"]
+        for budget in sorted({0, 1, nodes // 2, nodes - 1, nodes}):
+            assert _outcome(lift_walk, budget) == _outcome(index_walk, budget), (lo, budget)
+
+
 def test_searches_run_in_process_at_any_workers():
     # --workers is accepted and ignored: a fresh interpreter running the CLI
     # at --workers 8 never imports multiprocessing and prints the --workers 1 bytes
