@@ -277,7 +277,6 @@ class _Dfs:
         self.nmask = (1 << period) - 1
         self.nodes = 0
         self.stack: list[int] = []
-        self.rows = generator_rows(period, universe)
         self.leaf = _leaf_masks(universe, period, threshold) if settles else None
 
     def run(self, first_lo: int, first_hi: int) -> None:
@@ -410,7 +409,10 @@ class _Scan(_Dfs):
         self.minimal_bad = _Tally(max_len)
         self.multiples = period_multiples(threshold, period)
         self.live = None
+        # phi(period) rows of universe + 1 entries, which only modes 2 and 3 read
+        self.rows = ()
         if {free_bad_mode, minimal_bad_mode} & {2, 3}:
+            self.rows = generator_rows(period, universe)
             self.live = [[]] * (max_len + 1)
             self.live[0] = [(0, row, 0, 0) for _, row in self.rows]
         self.ladders = 2 in (free_bad_mode, minimal_bad_mode)
@@ -615,6 +617,8 @@ class _Verify(_Dfs):
         super().__init__(universe, period, threshold, len_hi, node_budget,
                          settle and tail_regime)
         self.tail_regime = tail_regime
+        # only the group condition reads the generator rows
+        self.rows = () if tail_regime else generator_rows(period, universe)
         self.len_lo = len_lo
         self.total = 0
         self.violations: list[tuple[int, ...]] = []

@@ -14,6 +14,12 @@ sequences found; with the default caps the enumeration provably closes
 (free sequences cannot reach threshold+period-1 terms, minimal ones cannot
 reach threshold+period), so frontier_hit=false certifies exactness.
 
+The free-smooth and minimal-smooth searches of one pair visit the same
+free multisets, so one scan with both modes answers both
+(_both_thresholds): explore and sweep run it for every pair, and a cached
+search at its default cap runs it and stores its sibling's result too.
+An uncached single search walks for itself alone.
+
 Every search runs in this process, as one DFS over the whole range.  The
 workers= parameters are accepted for compatibility and ignored, so results
 and refusals are identical for any worker count.
@@ -275,11 +281,14 @@ _CACHE_OPS = {
 }
 
 
+def _as_cache(cache: ResultCache | str | Path | None) -> ResultCache | None:
+    return cache if cache is None or isinstance(cache, ResultCache) else ResultCache(cache)
+
+
 def _cached(op: str, params: SemigroupParams, cap: int,
             cache: ResultCache | str | Path | None, compute):
     """The result of (op, k, n, cap) from the cache, else compute() stored there."""
-    if cache is not None and not isinstance(cache, ResultCache):
-        cache = ResultCache(cache)
+    cache = _as_cache(cache)
     if cache is not None:
         hit = cache.load(op, params.k, params.n, cap)
         if hit is not None:
@@ -303,44 +312,95 @@ def _settle_window(params: SemigroupParams, tail_regime: bool, len_lo: int, len_
 # ---------------------------------------------------------------------------
 # invariants
 
-def _threshold(which: str, params: SemigroupParams, cap: int | None,
-               node_budget: int, cache: ResultCache | str | Path | None) -> InvariantResult:
-    """The three threshold searches: cap default, cache lookup, scan, cache store."""
-    kind = "free" if which == FREE_SMOOTH else "minimal"
+def _cap(which: str, params: SemigroupParams, cap: int | None) -> int:
+    """The search cap of one threshold search: cap, or the default that closes it."""
     if cap is None:
-        cap = default_free_cap(params) if kind == "free" else default_minimal_cap(params)
+        cap = default_free_cap(params) if which == FREE_SMOOTH else default_minimal_cap(params)
     if cap < 1:
         raise DomainError(f"cap must be >= 1, got {cap}")
+    return cap
 
-    def compute() -> InvariantResult:
-        if which != INDEX and params.k == params.n == 1:
-            # C_{1;1}: no sequence is free and the single term is the only minimal one
-            return InvariantResult(which, 1, 1, 0 if kind == "free" else 1, cap, False, (), 0,
-                                   (0,) * (cap + 1), (0,) * (cap + 1))
-        if which == INDEX:
-            modes = (0, 3)
-        else:
-            mode = 1 if params.k > params.n else 2
-            modes = (mode, 0) if kind == "free" else (0, mode)
-        result = _kernels.scan(params.size, params.n, params.threshold, cap, 1, params.size,
-                               *modes, node_budget)
-        bad_by_len = tuple(result[f"{kind}_bad_by_len"])
-        best_len = result[f"{kind}_bad_len"]
-        # the DFS meets multisets in lexicographic order, so the witnesses come sorted
-        return InvariantResult(
-            which=which,
-            k=params.k,
-            n=params.n,
-            value=best_len + 1,
-            search_cap=cap,
-            frontier_hit=bad_by_len[cap] > 0,
-            witnesses=tuple(result[f"{kind}_bad_witnesses"]),
-            witness_total=bad_by_len[best_len] if best_len else 0,
-            bad_by_length=bad_by_len,
-            candidate_by_length=tuple(result[f"{kind}_count_by_len"]),
-        )
 
-    return _cached(which.replace("-", "_"), params, cap, cache, compute)
+def _invariant(which: str, params: SemigroupParams, cap: int, result: dict) -> InvariantResult:
+    """One search's InvariantResult from a scan result dict, its per-length counts fitted to cap.
+
+    The counts are cut or zero-padded to cap + 1 entries.  Padding is exact
+    only for a walk at a cap of at least max_free_length + 1: no free
+    multiset is longer than max_free_length, so such a walk has counted
+    every free and minimal multiset and has nothing at greater lengths.
+    """
+    kind = "free" if which == FREE_SMOOTH else "minimal"
+    width = cap + 1
+
+    def fit(counts) -> tuple[int, ...]:
+        return tuple(counts[:width]) + (0,) * (width - len(counts))
+
+    bad_by_len = fit(result[f"{kind}_bad_by_len"])
+    best_len = result[f"{kind}_bad_len"]
+    # the DFS meets multisets in lexicographic order, so the witnesses come sorted
+    return InvariantResult(
+        which=which,
+        k=params.k,
+        n=params.n,
+        value=best_len + 1,
+        search_cap=cap,
+        frontier_hit=bad_by_len[cap] > 0,
+        witnesses=tuple(result[f"{kind}_bad_witnesses"]),
+        witness_total=bad_by_len[best_len] if best_len else 0,
+        bad_by_length=bad_by_len,
+        candidate_by_length=fit(result[f"{kind}_count_by_len"]),
+    )
+
+
+def _smooth_mode(params: SemigroupParams) -> int:
+    """The scan mode of both smoothness searches: 1-smooth indices, or g-smooth residues."""
+    return 1 if params.k > params.n else 2
+
+
+def _search(which: str, params: SemigroupParams, cap: int, node_budget: int) -> InvariantResult:
+    """One threshold search by its own walk."""
+    if which != INDEX and params.k == params.n == 1:
+        # C_{1;1}: no sequence is free and the single term is the only minimal one
+        return InvariantResult(which, 1, 1, 0 if which == FREE_SMOOTH else 1, cap, False, (), 0,
+                               (0,) * (cap + 1), (0,) * (cap + 1))
+    if which == INDEX:
+        modes = (0, 3)
+    else:
+        mode = _smooth_mode(params)
+        modes = (mode, 0) if which == FREE_SMOOTH else (0, mode)
+    return _invariant(which, params, cap, _kernels.scan(
+        params.size, params.n, params.threshold, cap, 1, params.size, *modes, node_budget))
+
+
+def _op(which: str) -> str:
+    """The cache operation of a threshold search."""
+    return which.replace("-", "_")
+
+
+def _single(which: str, params: SemigroupParams, cap: int, node_budget: int,
+            cache: ResultCache | str | Path | None) -> InvariantResult:
+    return _cached(_op(which), params, cap, cache,
+                   lambda: _search(which, params, cap, node_budget))
+
+
+def _threshold(which: str, params: SemigroupParams, cap: int | None,
+               node_budget: int, cache: ResultCache | str | Path | None) -> InvariantResult:
+    """The three threshold searches: cap default, cache lookup, scan, cache store.
+
+    A cached smoothness search at its default cap that misses the cache
+    answers its sibling too (_both_thresholds): the two default caps close
+    both searches, so one walk serves both.
+    """
+    cap = _cap(which, params, cap)
+    if (cache is None or which == INDEX or params.k == params.n == 1
+            or cap != _cap(which, params, None)):
+        return _single(which, params, cap, node_budget, cache)
+    cache = _as_cache(cache)
+    hit = cache.load(_op(which), params.k, params.n, cap)
+    if hit is not None:
+        return InvariantResult.from_json_dict(hit)
+    free, minimal = _both_thresholds(params, None, None, node_budget, cache, lead=which)
+    return free if which == FREE_SMOOTH else minimal
 
 
 def free_smooth_threshold(params: SemigroupParams, cap: int | None = None,
@@ -551,9 +611,57 @@ def _bounds_row(k: int, n: int, results) -> tuple[dict, bool]:
     return row, within
 
 
-def _both_thresholds(params, cap, node_budget, cache):
-    return (_threshold(FREE_SMOOTH, params, cap, node_budget, cache),
-            _threshold(MINIMAL_SMOOTH, params, cap, node_budget, cache))
+def _both_thresholds(params: SemigroupParams, free_cap: int | None, minimal_cap: int | None,
+                     node_budget: int, cache: ResultCache | str | Path | None,
+                     lead: str = FREE_SMOOTH) -> tuple[InvariantResult, InvariantResult]:
+    """The (free-smooth, minimal-smooth) results of one pair, from one walk where it can.
+
+    scan counts and tallies both kinds in one walk, with the same visits
+    and nodes as either alone.  One walk answers both when the caps are
+    equal, or when both are past max_free_length: no free multiset is
+    longer, so beyond that length the walk, its nodes and its refusals do
+    not depend on the cap.  It runs at the cap of lead, the search whose
+    refusal a caller would meet first, so a refusal has that search's text.
+    Otherwise, and for C_{1;1}, each search runs on its own, free-smooth
+    first.
+
+    With a cache, both files are loaded first.  A hit is served as it is;
+    a lone miss runs its own walk; two misses share one.  Every miss is
+    stored.
+    """
+    caps = {which: _cap(which, params, cap)
+            for which, cap in ((FREE_SMOOTH, free_cap), (MINIMAL_SMOOTH, minimal_cap))}
+    if (params.k == params.n == 1
+            or (caps[FREE_SMOOTH] != caps[MINIMAL_SMOOTH]
+                and min(caps.values()) <= max_free_length(params))):
+        return (_single(FREE_SMOOTH, params, caps[FREE_SMOOTH], node_budget, cache),
+                _single(MINIMAL_SMOOTH, params, caps[MINIMAL_SMOOTH], node_budget, cache))
+    cache = _as_cache(cache)
+    results = {}
+    if cache is not None:
+        for which, cap in caps.items():
+            hit = cache.load(_op(which), params.k, params.n, cap)
+            if hit is not None:
+                results[which] = InvariantResult.from_json_dict(hit)
+    missing = [which for which in caps if which not in results]
+    if len(missing) == 2:
+        results = _shared_walk(params, caps, caps[lead], node_budget)
+    elif missing:
+        which, = missing
+        results[which] = _search(which, params, caps[which], node_budget)
+    if cache is not None:
+        for which in missing:
+            cache.store(_op(which), params.k, params.n, caps[which], results[which].to_json_dict())
+    return results[FREE_SMOOTH], results[MINIMAL_SMOOTH]
+
+
+def _shared_walk(params: SemigroupParams, caps: dict[str, int], walk_cap: int,
+                 node_budget: int) -> dict[str, InvariantResult]:
+    """Both smoothness results from one scan at walk_cap, with modes (m, m)."""
+    mode = _smooth_mode(params)
+    result = _kernels.scan(params.size, params.n, params.threshold, walk_cap, 1, params.size,
+                           mode, mode, node_budget)
+    return {which: _invariant(which, params, cap, result) for which, cap in caps.items()}
 
 
 def explore_bounds(pairs, cap: int | None = None, workers: int = 1,
@@ -568,7 +676,7 @@ def explore_bounds(pairs, cap: int | None = None, workers: int = 1,
     for k, n in pairs:
         if not k > n >= 3:
             raise DomainError(f"exploration requires k > n >= 3, got ({k}, {n})")
-        row, within = _bounds_row(k, n, _both_thresholds(SemigroupParams(k, n), cap,
+        row, within = _bounds_row(k, n, _both_thresholds(SemigroupParams(k, n), cap, cap,
                                                          node_budget, cache))
         row["within_bounds"] = (within and not row["free_frontier_hit"]
                                 and not row["minimal_frontier_hit"])
@@ -589,7 +697,7 @@ def sweep(pairs, cap: int | None = None, workers: int = 1,
     for k, n in sorted(set(pairs)):
         params = SemigroupParams(k, n)
         try:
-            results = _both_thresholds(params, cap, node_budget, cache)
+            results = _both_thresholds(params, cap, cap, node_budget, cache)
         except BudgetError:
             results = None
         row, within = _bounds_row(k, n, results)

@@ -285,6 +285,19 @@ def test_cache_dir_flag(tmp_path, capsys):
     assert code == 0 and second == first
 
 
+def test_cached_search_serves_its_sibling(tmp_path, capsys, monkeypatch):
+    # a cached free-smooth search stores minimal-smooth too, so a minimal
+    # call with a budget of 0 is served the uncached bytes
+    monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+    pair = ("--k", "7", "--n", "5")
+    cache = ("--cache-dir", str(tmp_path))
+    minimal = ("invariant", "--which", "minimal-smooth", *pair)
+    code, fresh, _ = run_cli(capsys, *minimal)
+    assert code == 0
+    assert run_cli(capsys, "invariant", "--which", "free-smooth", *pair, *cache)[0] == 0
+    assert run_cli(capsys, *minimal, *cache, "--budget", "0") == (0, fresh, "")
+
+
 def test_corrupt_cache_file_is_recomputed(tmp_path, capsys):
     args = ("invariant", "--which", "free-smooth", "--k", "7", "--n", "5",
             "--cache-dir", str(tmp_path))
@@ -301,19 +314,27 @@ def test_corrupt_cache_file_is_recomputed(tmp_path, capsys):
 
 def test_mismatched_cache_file_is_recomputed(tmp_path, capsys):
     # a file that answers another request is a miss, not a stale answer
+    # (a cached smoothness search at its default cap stores its sibling too)
     cache = ("--cache-dir", str(tmp_path))
-    for served, asked in [
+    for served, served_files, asked, asked_files in [
             (("invariant", "--which", "free-smooth", "--k", "5", "--n", "3"),
-             ("invariant", "--which", "free-smooth", "--k", "6", "--n", "3")),
+             ["free_smooth_k5_n3_c8.json", "minimal_smooth_k5_n3_c9.json"],
+             ("invariant", "--which", "free-smooth", "--k", "6", "--n", "3"),
+             ["free_smooth_k6_n3_c8.json", "minimal_smooth_k6_n3_c9.json"]),
             (("verify", "--what", "structure", "--k", "5", "--n", "3"),
-             ("verify", "--what", "cases", "--k", "5", "--n", "3"))]:
-        before = set(tmp_path.iterdir())
+             ["verify_structure_k5_n3_c7.json"],
+             ("verify", "--what", "cases", "--k", "5", "--n", "3"),
+             ["verify_cases_k5_n3_c7.json"])]:
+        before = {f.name for f in tmp_path.iterdir()}
         run_cli(capsys, *served, *cache)
-        written, = set(tmp_path.iterdir()) - before
+        assert {f.name for f in tmp_path.iterdir()} - before == set(served_files)
+        written = tmp_path / served_files[0]
         code, fresh, _ = run_cli(capsys, *asked)
         assert code == 0
         code, _, _ = run_cli(capsys, *asked, *cache)
-        target, = set(tmp_path.iterdir()) - before - {written}
+        assert ({f.name for f in tmp_path.iterdir()} - before
+                == set(served_files) | set(asked_files))
+        target = tmp_path / asked_files[0]
         shutil.copy(written, target)
         code, out, err = run_cli(capsys, *asked, *cache)
         assert code == 0 and err == "" and out == fresh

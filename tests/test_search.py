@@ -34,8 +34,11 @@ from idemfree import (
     verify_structure,
 )
 from idemfree.search import (
+    FREE_SMOOTH,
+    MINIMAL_SMOOTH,
     InvariantResult,
     VerificationReport,
+    _both_thresholds,
     case_shapes,
     default_free_cap,
     default_minimal_cap,
@@ -652,8 +655,9 @@ def test_worker_determinism_api():
 def test_cache_round_trip(tmp_path):
     cache = ResultCache(tmp_path)
     fresh = free_smooth_threshold(P(7, 5), cache=cache)
-    files = list(tmp_path.iterdir())
-    assert len(files) == 1 and files[0].name == "free_smooth_k7_n5_c14.json"
+    # at the default cap the search answers and stores minimal-smooth too
+    assert {f.name for f in tmp_path.iterdir()} == {"free_smooth_k7_n5_c14.json",
+                                                   "minimal_smooth_k7_n5_c15.json"}
     again = free_smooth_threshold(P(7, 5), cache=cache)
     assert fresh == again
     assert fresh == free_smooth_threshold(P(7, 5))
@@ -665,6 +669,130 @@ def test_cache_round_trip(tmp_path):
     r = index_threshold(6, cache=tmp_path)
     assert r == index_threshold(6)
     assert (tmp_path / "index_k1_n6_c12.json").exists()
+
+
+def _counted_scans(monkeypatch) -> list[tuple]:
+    """Record the arguments of every _kernels.scan call from now on."""
+    calls = []
+    scan = _kernels.scan
+
+    def counted(*args):
+        calls.append(args)
+        return scan(*args)
+    monkeypatch.setattr(_kernels, "scan", counted)
+    return calls
+
+
+def _singles(p, free_cap, minimal_cap, budget=10**8):
+    """Both smoothness results by their own walks, free-smooth first."""
+    return (free_smooth_threshold(p, free_cap, node_budget=budget),
+            minimal_smooth_threshold(p, minimal_cap, node_budget=budget))
+
+
+@pytest.mark.parametrize("k,n", [(k, n) for k in range(1, 12) for n in range(1, 13 - k)])
+def test_shared_walk_matches_single_searches(k, n, monkeypatch):
+    # one walk answers both searches when the caps are equal or both close
+    # the search (>= t+n-1); otherwise each runs its own walk.  Results,
+    # and the refusal text at every budget of a ladder around the node
+    # count, must be those of the two single searches.
+    p = P(k, n)
+    closing = max_free_length(p) + 1
+    calls = _counted_scans(monkeypatch)
+    shared = [(None, None), (closing, closing), (closing, closing + 2), (3, 3)]
+    apart = [(closing - 1, closing), (2, 3)] if closing >= 3 else []
+    for caps in shared + apart:
+        want = _singles(p, *caps)
+        del calls[:]
+        got = _both_thresholds(p, *caps, 10**8, None)
+        assert got == want, caps
+        walks = 0 if k == n == 1 else 1 if caps in shared else 2
+        assert len(calls) == walks, caps
+    for caps in [(None, None), (3, 3)]:
+        if k == n == 1:
+            continue
+        nodes = _kernels.scan(p.size, n, p.threshold, 3 if caps[0] else default_free_cap(p),
+                              1, p.size, 1, 0, 10**8)["nodes"]
+        for budget in sorted({0, 1, nodes // 2, nodes - 1, nodes}):
+            assert (_outcome(lambda b: _both_thresholds(p, *caps, b, None), budget)
+                    == _outcome(lambda b: _singles(p, *caps, b), budget)), (caps, budget)
+
+
+def test_cached_search_stores_its_sibling(tmp_path, monkeypatch):
+    # a cached search at its default cap walks once and stores both results,
+    # each file byte-equal to what a cached single search stores
+    p = P(7, 5)
+    files = {FREE_SMOOTH: "free_smooth_k7_n5_c14.json",
+             MINIMAL_SMOOTH: "minimal_smooth_k7_n5_c15.json"}
+    want = _singles(p, None, None)
+    alone = ResultCache(tmp_path / "alone")
+    for which, result in zip(files, want):
+        alone.store(which.replace("-", "_"), 7, 5, result.search_cap, result.to_json_dict())
+    calls = _counted_scans(monkeypatch)
+    shared = tmp_path / "shared"
+    assert free_smooth_threshold(p, cache=shared) == want[0]
+    assert len(calls) == 1 and calls[0][6:8] == (1, 1)
+    assert sorted(f.name for f in shared.iterdir()) == sorted(files.values())
+    for name in files.values():
+        assert (shared / name).read_bytes() == (alone.directory / name).read_bytes()
+    assert minimal_smooth_threshold(p, cache=shared) == want[1]
+    assert len(calls) == 1
+
+    # a hit is served alone, with no walk, even when its sibling is missing
+    lone = tmp_path / "lone"
+    lone.mkdir()
+    (lone / files[FREE_SMOOTH]).write_bytes((shared / files[FREE_SMOOTH]).read_bytes())
+    assert free_smooth_threshold(p, node_budget=0, cache=lone) == want[0]
+    assert len(calls) == 1
+    assert [f.name for f in lone.iterdir()] == [files[FREE_SMOOTH]]
+
+    # a valid sibling is served as it is and left alone: the missing result
+    # runs its own walk.  This sibling is valid but not in the stored layout.
+    valid = tmp_path / "valid"
+    valid.mkdir()
+    sibling = valid / files[MINIMAL_SMOOTH]
+    sibling.write_text(json.dumps(want[1].to_json_dict()), encoding="utf-8")
+    before = sibling.read_bytes()
+    del calls[:]
+    assert free_smooth_threshold(p, cache=valid) == want[0]
+    assert len(calls) == 1 and calls[0][6:8] == (1, 0)
+    assert sibling.read_bytes() == before
+    assert (valid / files[FREE_SMOOTH]).read_bytes() == (shared / files[FREE_SMOOTH]).read_bytes()
+
+    # a corrupt sibling is a miss: one shared walk overwrites it
+    corrupt = tmp_path / "corrupt"
+    corrupt.mkdir()
+    (corrupt / files[MINIMAL_SMOOTH]).write_text("{", encoding="utf-8")
+    del calls[:]
+    assert minimal_smooth_threshold(p, cache=corrupt) == want[1]
+    assert len(calls) == 1 and calls[0][6:8] == (1, 1)
+    for name in files.values():
+        assert (corrupt / name).read_bytes() == (shared / name).read_bytes()
+
+
+def test_cached_search_refuses_like_its_own_walk(tmp_path):
+    # the shared walk runs at the cap of the search asked for, so a refusal
+    # that names the walk's length is that search's own refusal text
+    for fn in (free_smooth_threshold, minimal_smooth_threshold):
+        for p, budget in [(P(1200, 1), 100_000), (P(9, 9), 50), (P(9, 4), 0)]:
+            with pytest.raises(BudgetError) as alone:
+                fn(p, node_budget=budget)
+            with pytest.raises(BudgetError) as cached:
+                fn(p, node_budget=budget, cache=tmp_path)
+            assert str(cached.value) == str(alone.value)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_generator_rows_are_built_only_where_read():
+    # mode-1 scans and tail-regime windows never read the generator rows
+    _kernels.generator_rows.cache_clear()
+    free_smooth_threshold(P(9, 4))
+    minimal_smooth_threshold(P(9, 4))
+    verify_structure(P(9, 4))
+    info = _kernels.generator_rows.cache_info()
+    assert info.hits + info.misses == 0
+    free_smooth_threshold(P(4, 9))
+    verify_structure(P(4, 9))
+    assert _kernels.generator_rows.cache_info().misses == 1
 
 
 def test_report_serialization_round_trip():
