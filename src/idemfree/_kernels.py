@@ -17,7 +17,12 @@ nondecreasing multisets (_Dfs) and differ only in which children of a
 node each one visits and what a visited multiset does.  scan visits only
 free multisets: each non-free child of a free multiset is decided from
 its parent's masks, a minimal idempotent-sum candidate classified there
-in closed form (minimal_candidates), and counted without a visit.
+in closed form (minimal_candidates), and counted without a visit.  In
+modes 0 and 1 the children of each free child are decided at its parent
+too, by the pair rule (_Scan): P + v + w, for free children v <= w of a
+free P, is free iff P's sums miss the leaf mask of the term sum v + w.  So
+a free child with no free child is not visited either; its minimal
+candidates are classified and its children counted at its parent.
 verify_window checks the structure condition and, in settle mode, counts
 the subtree under a non-free multiset in closed form.
 
@@ -194,13 +199,15 @@ def minimal_candidates(terms: range, parent_exact: int, total: int, threshold: i
     total + w - threshold below the least multiple of period in P's exact
     mask: one progression of step period.
     """
-    lo = max(terms.start, threshold - total)
-    lo += -(total + lo) % period
+    lo = threshold - total
     stop = terms.stop
     blockers = parent_exact & multiples
     if blockers:
-        stop = min(stop, (blockers & -blockers).bit_length() - 1 + threshold - total)
-    return range(lo, stop, period)
+        stop = min(stop, (blockers & -blockers).bit_length() - 1 + lo)
+    # a comparison, not max: the scan calls this for every free multiset
+    if lo < terms.start:
+        lo = terms.start
+    return range(lo + -(total + lo) % period, stop, period)
 
 
 def is_minimal(values, threshold: int, period: int) -> bool:
@@ -226,13 +233,21 @@ def _leaf_masks(universe: int, period: int, threshold: int) -> tuple[int, ...]:
     with s = r (mod period) and s >= threshold - w (bit 0 stands for w
     alone), and bit threshold + r.  So P + w is not free iff entry w meets
     P's exact mask | 1 | P's high mask << threshold.
+
+    w may also be the sum v + w of two terms, read as one term (the pair
+    rule of _Scan), so the table runs to 2 * universe.  From the threshold
+    on an entry depends only on w mod period: entries past threshold +
+    period - 1 are folded onto [threshold, threshold + period) and share
+    those masks.
     """
     masks = [0]
-    for w in range(1, universe + 1):
+    for w in range(1, threshold + period):
         r = -w % period
         least = max(0, threshold - w)
         masks.append(_spaced_bits(least + (r - least) % period, threshold, period)
                      | 1 << (threshold + r))
+    for w in range(threshold + period, 2 * universe + 1):
+        masks.append(masks[w - period])
     return tuple(masks)
 
 
@@ -257,13 +272,23 @@ class _Dfs:
     policy counts any other multisets it reaches with _count (the lift
     leaves of _LiftScan).
 
-    Each visited multiset goes to _node(depth, parent_exact, high, total,
-    smooth) with its length, the exact mask of its parent, its high mask,
-    index total and 1-smoothness; _node returns whether to descend.
+    A policy with pairs set decides each child's children at P too: for
+    each child v = children[i] shorter than max_len, before the walk builds
+    v's high mask, it asks _childless(children, i, sums, exact, total,
+    smooth, depth) with P's sums and v's exact mask, index total,
+    1-smoothness and length.  A true answer means every child of v is a
+    settled leaf, so v is settled as well: the walk counts v and its
+    children at that point and neither builds v's high mask nor descends.
+
+    Each other child in the list is visited: it goes to _node(depth,
+    parent_exact, high, total, smooth) with its length, the exact mask of
+    its parent, its high mask, index total and 1-smoothness; _node returns
+    whether to descend.
 
     The walk never goes past max_len terms and refuses with BudgetError
-    once nodes exceeds node_budget, or once its recursion, one call per
-    term, hits Python's recursion limit.
+    once nodes exceeds node_budget, or once its recursion, one _descend
+    call per term of each multiset it descends from, hits Python's
+    recursion limit.
     """
 
     def __init__(self, universe: int, period: int, threshold: int, max_len: int,
@@ -278,6 +303,7 @@ class _Dfs:
         self.nodes = 0
         self.stack: list[int] = []
         self.leaf = _leaf_masks(universe, period, threshold) if settles else None
+        self.pairs = False
 
     def run(self, first_lo: int, first_hi: int) -> None:
         try:
@@ -296,32 +322,42 @@ class _Dfs:
         cap = self.threshold
         budget = self.budget
         deeper = depth < self.max_len
+        pairs = self.pairs and deeper
         top = self.u + 1
         nxt = terms.start
-        for v in self._children(terms, sums, exact, total, smooth, depth - 1):
+        children = self._children(terms, sums, exact, total, smooth, depth - 1)
+        for i, v in enumerate(children):
             # the settled leaves before v, then v
             self.nodes += v - nxt + 1
             if self.nodes > budget:
                 raise over_budget(budget)
             nxt = v + 1
-            # profile_step, inlined: a call per node would cost the scan about 3%
+            # profile_step, inlined (a call per node would cost the scan about 3%):
+            # the exact mask here, the high mask only for a child the walk visits
             shifted = (exact << v) | (1 << v)
-            child_high = high
-            if high:
-                d = v % n
-                child_high |= ((high << d) | (high >> (n - d))) & self.nmask
-            over = shifted >> cap
-            while over:
-                low = over & -over
-                child_high |= 1 << ((cap + low.bit_length() - 1) % n)
-                over ^= low
+            child_exact = (exact | shifted) & self.below
             child_total = total + v
             child_smooth = smooth and v <= 1 + total
             stack.append(v)
-            if self._node(depth, exact, child_high, child_total, child_smooth) and deeper:
-                child_exact = (exact | shifted) & self.below
-                self._descend(range(v, top), child_exact | 1 | child_high << cap, child_exact,
-                              child_high, child_total, child_smooth)
+            if pairs and self._childless(children, i, sums, child_exact, child_total,
+                                         child_smooth, depth):
+                # v's children, all settled leaves
+                self.nodes += top - v
+                if self.nodes > budget:
+                    raise over_budget(budget)
+            else:
+                child_high = high
+                if high:
+                    d = v % n
+                    child_high |= ((high << d) | (high >> (n - d))) & self.nmask
+                over = shifted >> cap
+                while over:
+                    low = over & -over
+                    child_high |= 1 << ((cap + low.bit_length() - 1) % n)
+                    over ^= low
+                if self._node(depth, exact, child_high, child_total, child_smooth) and deeper:
+                    self._descend(range(v, top), child_exact | 1 | child_high << cap,
+                                  child_exact, child_high, child_total, child_smooth)
             stack.pop()
         if nxt < terms.stop:
             self.nodes += terms.stop - nxt
@@ -390,6 +426,22 @@ class _Scan(_Dfs):
     free child of P is longer, so classifying them before the descent
     keeps each length's witnesses in DFS (lexicographic) order.
 
+    Without generator rows (modes 0 and 1) the walk decides each free
+    child's children at its parent (pairs, _childless), by the pair rule:
+    for a free P with free children F and v <= w in F, P + v + w is free
+    iff P's sums miss _leaf_masks entry v + w.  A subsequence holding w
+    either misses v, and P + w is free, or holds v too and sums to v + w
+    plus 0 or a subset sum of P.  So a free child v of P has the free
+    children w >= v in F that pass that test, and the walk visits v only
+    if it has one; otherwise v's minimal candidates are classified at P
+    and v's children counted there.  The list of each visited child comes
+    from its parent (kids); only the root tests the terms one by one.
+    Since the first-term range may stop before the universe, the root
+    keeps its free children over [first_lo, universe] (roots) for the pair
+    rule.  The walks with generator rows (modes 2 and 3) and _LiftScan,
+    where row and lift work dominate, visit every free child and test its
+    terms one by one.
+
     For modes 2 and 3, live[d] holds (total, row, reach, need) for each
     generator row whose total over the first d terms on the stack is below
     the period: a row at or past it can neither stay below it nor come to
@@ -416,6 +468,9 @@ class _Scan(_Dfs):
             self.live = [[]] * (max_len + 1)
             self.live[0] = [(0, row, 0, 0) for _, row in self.rows]
         self.ladders = 2 in (free_bad_mode, minimal_bad_mode)
+        self.pairs = self.live is None
+        self.roots: list[int] = []
+        self.kids: list[int] = []
 
     def _bad(self, lasts, total: int, smooth: bool, depth: int, mode: int, zero_sum: bool):
         """The w in lasts with self.stack + [w] bad per mode (minimal ones if zero_sum)."""
@@ -462,17 +517,50 @@ class _Scan(_Dfs):
             candidates = minimal_candidates(terms, exact, total, self.threshold, self.n,
                                             self.multiples)
             if candidates:
-                self.minimal_count[depth + 1] += weigh(candidates)
-                bad = self._bad(candidates, total, smooth, depth, self.minimal_bad_mode, True)
-                self.minimal_bad.record(self.stack, bad, weigh(bad))
-        leaf = self.leaf
-        free = [w for w in terms if not sums & leaf[w]]
+                self._minimal(candidates, total, smooth, depth, weigh)
+        if depth and self.pairs:
+            free = self.kids
+        else:
+            leaf = self.leaf
+            free = [w for w in terms if not sums & leaf[w]]
+            if self.pairs:
+                # the root's free children past the first-term range, for the pair rule
+                self.roots = free + [w for w in range(terms.stop, self.u + 1)
+                                     if not sums & leaf[w]]
         if free:
             self.free_count[depth + 1] += weigh(free)
             if self.free_bad_mode:
                 bad = self._bad(free, total, smooth, depth, self.free_bad_mode, False)
                 self.free_bad.record(self.stack, bad, weigh(bad))
         return free
+
+    def _minimal(self, candidates, total, smooth, depth, weigh=len) -> None:
+        """Count and classify P's children in candidates, P's minimal idempotent-sum ones."""
+        self.minimal_count[depth + 1] += weigh(candidates)
+        bad = self._bad(candidates, total, smooth, depth, self.minimal_bad_mode, True)
+        self.minimal_bad.record(self.stack, bad, weigh(bad))
+
+    def _childless(self, free, i, sums, exact, total, smooth, depth) -> bool:
+        """Whether child v = free[i] of P has no free child; else keep them as kids.
+
+        free is P's free children (roots at the root), sums P's; exact,
+        total, smooth and depth are v's.  A childless v is not visited, so
+        its minimal candidates are classified here, with v on the stack.
+        """
+        if depth == 1:
+            free = self.roots
+        v = free[i]
+        leaf = self.leaf
+        kids = [w for w in free[i:] if not sums & leaf[v + w]]
+        if kids:
+            self.kids = kids
+            return False
+        if self.minimal_bad_mode:
+            candidates = minimal_candidates(range(v, self.u + 1), exact, total, self.threshold,
+                                            self.n, self.multiples)
+            if candidates:
+                self._minimal(candidates, total, smooth, depth)
+        return True
 
     def _node(self, depth, parent_exact, high, total, smooth):
         return True
@@ -535,6 +623,8 @@ class _LiftScan(_Scan):
         super().__init__(period, period, period, max_len,
                          free_bad_mode, minimal_bad_mode, node_budget)
         self.lifted = lifted
+        # lifts and spare leaves are counted per visited residue multiset
+        self.pairs = False
         self.weight = [1] * (max_len + 1)
         self.base = [1] * (max_len + 1)
         self.spare = [lifted - 1] * (max_len + 1)
@@ -584,7 +674,9 @@ def scan(universe: int, period: int, threshold: int, max_len: int,
     the free ones only.  Every not-free one is a child of a free multiset
     and a settled leaf: decided from its parent's masks, classified there
     if it is a minimal idempotent-sum candidate (minimal_bad_mode set), and
-    counted without a visit.  The free multisets and the minimal
+    counted without a visit.  In modes 0 and 1 a free multiset without a
+    free child is settled at its parent in the same way, its minimal
+    candidates and its children with it.  The free multisets and the minimal
     candidates are counted per length, and the "bad" ones are tallied per
     the modes above.
 

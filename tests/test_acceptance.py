@@ -5,7 +5,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 
 import io
 import random
-from bisect import bisect_left
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from itertools import combinations_with_replacement
 from math import comb, gcd
@@ -279,23 +278,41 @@ def test_criterion_6_even_regime_exploration():
 # --- criterion 7 sub-checks -------------------------------------------------
 
 def check_profile_dp_against_brute_force():
-    # exhaustive to length 12 at the kernel level, all caps up to k+2n
+    # exhaustive to length 12 at the kernel level, all caps up to k+2n.  Along each
+    # length's walk, a multiset's oracle sums and its masks at every cap extend
+    # those of its longest prefix shared with the multiset before it, one set
+    # union and one profile_step per cap for each term past that prefix
     for k, n in small_pairs(8):
         u = k + n - 1
         caps = list(range(1, k + 2 * n + 1))
         for length in range(1, 13):
+            # prefixes[j]: {0} with the subset sums of idx[:j], and its masks per cap
+            prefixes = [({0}, [(0, 0)] * len(caps))]
+            last = ()
             for idx in combinations_with_replacement(range(1, u + 1), length):
-                sums = sorted(oracles.subset_sums(idx))
+                j = 0
+                while last and idx[j] == last[j]:
+                    j += 1
+                del prefixes[j + 1:]
+                for v in idx[j:]:
+                    sums, masks = prefixes[-1]
+                    prefixes.append((sums | {s + v for s in sums},
+                                     [_kernels.profile_step(exact, high, v, cap, n)
+                                      for (exact, high), cap in zip(masks, caps)]))
+                last = idx
+                sums = sorted(prefixes[-1][0])[1:]
                 full = 0
                 for s in sums:
                     full |= 1 << s
-                for cap in caps:
-                    exact, high = _kernels.profile(idx, cap, n)
+                # the residues of the sums >= cap, for each cap from the top down
+                wants, want, rest = {}, 0, sums[:]
+                for cap in reversed(caps):
+                    while rest and rest[-1] >= cap:
+                        want |= 1 << (rest.pop() % n)
+                    wants[cap] = want
+                for cap, (exact, high) in zip(caps, prefixes[-1][1]):
                     assert exact == full & ((1 << cap) - 1), (k, n, idx, cap)
-                    want = 0
-                    for s in sums[bisect_left(sums, cap):]:
-                        want |= 1 << (s % n)
-                    assert high == want, (k, n, idx, cap)
+                    assert high == wants[cap], (k, n, idx, cap)
 
 
 def check_whole_sum_criterion():

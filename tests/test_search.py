@@ -1,5 +1,6 @@
 """Exhaustive verifiers, threshold invariants, families, and worker independence."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -360,19 +361,111 @@ def test_kernels_handle_wide_masks():
 
 
 def test_leaf_masks_match_their_bitwise_definition():
-    # entry w: bits s in [t-w, t) with n | s+w (bit 0 is w alone), and bit t + (-w mod n)
+    # entry w: bits s in [t-w, t) with n | s+w (bit 0 is w alone), and bit t + (-w mod n);
+    # the entries past u are the term sums v + w of the pair rule, up to 2u
     for k in range(1, 13):
         for n in range(1, 13):
             p = P(k, n)
             t = p.threshold
             want = [0]
-            for w in range(1, p.size + 1):
+            for w in range(1, 2 * p.size + 1):
                 mask = 1 << (t + -w % n)
                 for s in range(max(0, t - w), t):
                     if (s + w) % n == 0:
                         mask |= 1 << s
                 want.append(mask)
             assert _kernels._leaf_masks(p.size, n, t) == tuple(want), (k, n)
+
+
+@pytest.mark.parametrize("k,n", [(k, n) for n in range(1, 6) for k in range(n + 1, 13 - n)])
+def test_pair_rule_decides_the_children_of_free_children(k, n):
+    # for a free P with free children F and v <= w in F, P + v + w is free
+    # iff P's sums miss the leaf entry of the term sum v + w
+    p = P(k, n)
+    u, t = p.size, p.threshold
+    leaf = _kernels._leaf_masks(u, n, t)
+    checked = 0
+    for prefix in [()] + list(oracles.all_multisets(u, 4)):
+        if not oracles.idempotent_sum_free_oracle(k, n, prefix):
+            continue
+        exact, high = _kernels.profile(prefix, t, n)
+        sums = exact | 1 | high << t
+        free = [w for w in range(prefix[-1] if prefix else 1, u + 1)
+                if oracles.idempotent_sum_free_oracle(k, n, prefix + (w,))]
+        for i, v in enumerate(free):
+            for w in free[i:]:
+                want = oracles.idempotent_sum_free_oracle(k, n, prefix + (v, w))
+                assert (not sums & leaf[v + w]) == want, (prefix, v, w)
+                checked += 1
+    assert checked
+
+
+# sha256 of json.dumps(scan(...), sort_keys=True) in modes (1, 1), recorded from the
+# walk that visited every free multiset: the 12 tail-regime pairs of the benchmark's
+# thresholds pools and (31,6), at cap t + n (None), at cap 3 and from first term 2
+TAIL_SCAN_DIGESTS = [
+    (17, 1, None, 1, 11391, "2e4389214ed577a87634706c627b8feecff7831c20bd1ec920587d91fe1cfd10"),
+    (17, 1, 3, 1, 809, "6772998b60130ad6a26739ac736954e04c38875ac141165606184d28e486b681"),
+    (17, 1, None, 2, 2694, "4a8575f520ad2d2cde53e9efcf7c501f8fd0fbf7fe29207b5a2fde38574e727d"),
+    (19, 1, None, 1, 22252, "9b0a51ea8c03cd8f7047d308c17856310826943d84f56edfcfce6eda3ce24f6d"),
+    (19, 1, 3, 1, 1099, "598eb6b7a4f4600c2b2faf34134fbc44d49df5e17299d0be09c51d11f28de95b"),
+    (19, 1, None, 2, 5055, "2bde28a00edfad9f805935597fe48376c06cb875501a2c1bc723f7e81b029313"),
+    (19, 3, None, 1, 58428, "0d956536984ace3d8bfd238c265121efd061ae9d8fbec5bd28ac936fa4cd7d0b"),
+    (19, 3, 3, 1, 1795, "d6ab501131e3aa38ae5b17f6361a205e5df5f15f2020bdc0a01f90cb9040ac65"),
+    (19, 3, None, 2, 23857, "b9a8b7e7fc83e7f26b83e1e1d7a2c9ef6a321273ca56cdc288fc11e8130cc30a"),
+    (15, 7, None, 1, 102454, "f6800e683b05574de8e2f104b779c48f5f2eb92b7568e6c7485624bab45e426e"),
+    (15, 7, 3, 1, 1892, "6570d8dbc4191e52f95d1a1446e939d55dc5565af637049a6c232991868413c4"),
+    (15, 7, None, 2, 58004, "cad47ff3d7c02c474e801fa8e454e5e79e1de62129818ce52d737d7a73b7458d"),
+    (11, 9, None, 1, 55330, "606ef8d8df1bddaa79807917e281a4388ff73f648c44f056419cf148a735c251"),
+    (11, 9, 3, 1, 1417, "9974715430c71114f8391bb66747829f8b040692835392da2901bd123c0871dd"),
+    (11, 9, None, 2, 33277, "7ed5e69251839854a3dc9126f3cb028ef225a2d8d8418086aa0205883cd1c788"),
+    (13, 8, None, 1, 40282, "1d5515cc86117039df539dc8d74d308f2cf356d001d324518f4abd46c54e55bf"),
+    (13, 8, 3, 1, 1548, "91d0617604cb305f9d3cbcff5e1efb7c9b7abe361d4c06aae0d27fc44a4b3b31"),
+    (13, 8, None, 2, 25253, "f398a40a290382cbd6b61a29b865575c36348d6262655c592c943968ccb34f70"),
+    (14, 8, None, 1, 47284, "621df1c56308e41ae02bfedc60450bd32d84f8846fd37b431eb7443cd0e489c2"),
+    (14, 8, 3, 1, 1755, "df247a6ae1b62bd269ae2f212527a36067f464fb215066cb5bfb3b984d8556eb"),
+    (14, 8, None, 2, 30462, "1af06b4ee644bac925c2155f57b9aa08deed0f6ace592a0621283c3b1fb280a2"),
+    (15, 6, None, 1, 41876, "a851ab599d7a0e24f1ac463a4b0cb9834712f0a3a486fc9c2cdde1360e495c9f"),
+    (15, 6, 3, 1, 1575, "046461add79e50338a8e81e47373a1c38fbfe06a8a1dd474ea85b654f68c7b5e"),
+    (15, 6, None, 2, 22536, "761dd60f3f72922b022a1ca8b954306d3589ff2a52dc0c735af6a1207206b98d"),
+    (17, 2, None, 1, 19492, "763884630d168a2a8e1fe60e25a025f6dfdc41918c217b34c93972b34f5cdff9"),
+    (17, 2, 3, 1, 1100, "5e518e66cd735799f143a13464ef742b845d40f38b9f43e209d8147f8c2f8504"),
+    (17, 2, None, 2, 7185, "213c9d242ad35095957c885c42989ecc2bdaae4be1150adbaf7fa12839afc0c4"),
+    (18, 2, None, 1, 21237, "45bcd963470b861c90e93a4f2a245226cfd7c35d0d335a8723c3459c8e01e2da"),
+    (18, 2, 3, 1, 1235, "efc57c30f5bcf26bee9b8eaccba024ed0ab4ea105206885944c41c03a0a6cc0d"),
+    (18, 2, None, 2, 8015, "b064d12db7ab3f0e3cfb835a65aba01d295688f545c48985ce1ce3f70c52032b"),
+    (19, 2, None, 1, 37229, "d9d616137bc7d2c191fd5f2bbf80a4557a6e4d32271c3a54cbb8fb21030283e3"),
+    (19, 2, 3, 1, 1474, "0c46325645b0643a08992ad25fee6d87ed7ad701b40702f78d6929b3150a2e8b"),
+    (19, 2, None, 2, 13379, "2899efcaa43a17e692f5ede693595bb28deb8330b46f0f0c36fcc5c7e8eb2d81"),
+    (20, 2, None, 1, 40192, "94ef9607f1686442870cbe90d0994988c52846d555045c97162f1cf185f085ea"),
+    (20, 2, 3, 1, 1639, "de60e84ab18d9a59528c3ef516de9a8514d85ee4f237b3735008bd74b76f7b93"),
+    (20, 2, None, 2, 14745, "c4159489351256f52e380e261b8ba6e86bc4f144a4dc3e400b5876be243eee9b"),
+    (31, 6, None, 1, 3697822, "a3c2e4e4e6e9f37a81ed0cb6cd5721b2154eedf072e0dcf2c83c0cfee910c875"),
+    (31, 6, 3, 1, 8597, "c60e8fe45e2ada5052a4bd1ac3a7bf2c7a92564555d1801d75f49aa1de80e2f8"),
+    (31, 6, None, 2, 1632430, "104f1e2cdb102b683fbf36cd0345dbac5101874670f2284dd5a8d5fdbc67b5c6"),
+]
+
+
+@pytest.mark.parametrize("k,n,cap,first_lo,nodes,digest", TAIL_SCAN_DIGESTS,
+                         ids=[f"{k}-{n}-cap{cap or 'tn'}-first{lo}"
+                              for k, n, cap, lo, _, _ in TAIL_SCAN_DIGESTS])
+def test_tail_scan_matches_its_recorded_digest(k, n, cap, first_lo, nodes, digest):
+    # a free child without a free child is settled at its parent, with its
+    # minimal candidates; the dict, and the budget that refuses it, stay those of
+    # the walk that visited it.  The two (31,6) walks past 10**6 nodes, 0.5 to
+    # 1 s each, run once, without the refusal one node below.
+    p = P(k, n)
+    u, t = p.size, p.threshold
+
+    def run(budget):
+        return _kernels.scan(u, n, t, cap or default_minimal_cap(p), first_lo, u, 1, 1, budget)
+
+    got = hashlib.sha256(json.dumps(run(nodes), sort_keys=True).encode()).hexdigest()
+    assert got == digest
+    if nodes < 10**6:
+        with pytest.raises(BudgetError) as err:
+            run(nodes - 1)
+        assert str(err.value) == str(_kernels.over_budget(nodes - 1))
 
 
 def test_ladder_summary_decides_every_one_term_extension():
