@@ -12,29 +12,29 @@ _ladder for every one-term extension at once) and the minimality rule
 (is_minimal_extension); idemfree.classify checks outside input and calls
 them.
 
-scan() and verify_window() walk the same depth-first enumeration of
-nondecreasing multisets (_Dfs) and differ only in which children of a
-node each one visits and what a visited multiset does.  scan visits only
-free multisets: each non-free child of a free multiset is decided from
-its parent's masks, a minimal idempotent-sum candidate classified there
-in closed form (minimal_candidates), and counted without a visit.  In
-modes 0 and 1 the children of each free child are decided at its parent
-too, by the pair rule (_Scan): P + v + w, for free children v <= w of a
-free P, is free iff P's sums miss the leaf mask of the term sum v + w.  So
-a free child with no free child is not visited either; its minimal
-candidates are classified and its children counted at its parent.
-verify_window checks the structure condition and, in settle mode, counts
-the subtree under a non-free multiset in closed form.
+scan() walks a depth-first enumeration of nondecreasing multisets (_Dfs)
+that visits only free multisets: each non-free child of a free multiset is
+decided from its parent's masks, a minimal idempotent-sum candidate
+classified there in closed form (minimal_candidates), and counted without
+a visit.  In modes 0 and 1 the children of each free child are decided at
+its parent too, by the pair rule (_Scan): P + v + w, for free children
+v <= w of a free P, is free iff P's sums miss the leaf mask of the term
+sum v + w.  So a free child with no free child is not visited either; its
+minimal candidates are classified and its children counted at its parent.
+verify_window in settle mode is that walk in mode 1 (tail regime) or 2
+(group regime), tallying every free bad multiset of its window: a
+non-free multiset fails the structure condition, so the violations are
+the free ones that fail it, and the rest of the window is closed form.
+Without settle, verify_window visits every multiset (_Verify).
 
 In the group regime (threshold == period < universe) every predicate of
 scan but mode 1 reads residues only, so scan over the whole first-term
 range walks residue multisets there, the walk of the index-1 semigroup,
 and counts each residue multiset's index lifts in closed form (_LiftScan):
 per-length counts, witnesses and nodes are those of the walk over indices.
-A settle-mode group window of verify_window over the whole first-term
-range is that walk in mode 2 (_group_window): its violations are the
-lifts of the free residue multisets that are not g-smooth.  Mode 1,
-single-first-term shards and windows without settle walk indices.
+A settle-mode group window over the whole first-term range runs that
+walk: its violations are the lifts of the free residue multisets that are
+not g-smooth.  Mode 1 and single-first-term shards walk indices.
 
 Free/minimal/bad classification modes for scan():
   free_bad_mode     0 none, 1 bad = index multiset not 1-smooth,
@@ -702,46 +702,19 @@ def scan(universe: int, period: int, threshold: int, max_len: int,
 
 
 class _Verify(_Dfs):
-    def __init__(self, universe, period, threshold, tail_regime,
-                 len_lo, len_hi, node_budget, settle, shapes):
-        # a non-free tail-regime multiset has index total >= threshold, so it
-        # fails the condition by arithmetic and its leaf test can settle it
-        super().__init__(universe, period, threshold, len_hi, node_budget,
-                         settle and tail_regime)
+    """verify_window without settle: every multiset up to max_len is visited."""
+
+    def __init__(self, universe, period, threshold, tail_regime, len_lo, len_hi, node_budget):
+        super().__init__(universe, period, threshold, len_hi, node_budget, False)
         self.tail_regime = tail_regime
         # only the group condition reads the generator rows
         self.rows = () if tail_regime else generator_rows(period, universe)
         self.len_lo = len_lo
         self.total = 0
         self.violations: list[tuple[int, ...]] = []
-        self.settle = settle
-        self.condition_hits = 0
-        self.shape_labels: dict[tuple[int, ...], list[str]] = {}
-        self.shape_hits: dict[str, int] = {}
-        self.shape_prefixes: set[tuple[int, ...]] = set()
-        for label, shape in shapes:
-            shape = tuple(shape)
-            self.shape_labels.setdefault(shape, []).append(label)
-            self.shape_hits[label] = 0
-            self.shape_prefixes.update(shape[:i] for i in range(1, len(shape)))
 
     def _children(self, terms, sums, exact, total, smooth, depth):
-        leaf = self.leaf
-        if leaf is None:
-            return terms
-        # settle mode, tail regime: a non-free child is not a violation, so
-        # it is settled, unless it is a listed shape or a proper prefix of
-        # one, which it can be only at the root or under such a prefix
-        children = []
-        shapes, prefixes = self.shape_labels, self.shape_prefixes
-        shaped = shapes and (not depth or tuple(self.stack) in prefixes)
-        for w in terms:
-            if sums & leaf[w] and not (shaped and ((child := (*self.stack, w)) in shapes
-                                                   or child in prefixes)):
-                self.total += (depth + 1 >= self.len_lo) + self._extensions(w, depth + 1)
-            else:
-                children.append(w)
-        return children
+        return terms
 
     def _node(self, depth, parent_exact, high, total, smooth):
         if depth >= self.len_lo:
@@ -750,56 +723,15 @@ class _Verify(_Dfs):
                 predicted = smooth and total <= self.threshold - 1
             else:
                 predicted = smooth_for_some_generator(self.rows, self.stack, self.n, False)
-            if self.settle:
-                self.condition_hits += predicted
-                if self.shape_labels:
-                    for label in self.shape_labels.get(tuple(self.stack), ()):
-                        self.shape_hits[label] += 1
-                        predicted = True
             if (not high & 1) != predicted:
                 self.violations.append(tuple(self.stack))
-        if (self.settle and high & 1 and depth < self.max_len
-                and not (self.shape_prefixes and tuple(self.stack) in self.shape_prefixes)):
-            self.total += self._extensions(self.stack[-1], depth)
-            return False
         return True
-
-    def _extensions(self, last: int, depth: int) -> int:
-        """The in-window proper extensions of a multiset of length depth ending in last."""
-        # C(u-last+j, j) multisets add j terms from [last, u]
-        return _multisets(self.u - last + 1, max(1, self.len_lo - depth), self.max_len - depth)
 
 
 def _multisets(choices: int, lo: int, hi: int) -> int:
     """The multisets of [1, choices] with length in [lo, hi], for lo >= 1."""
     # sum of C(choices-1+j, j) over j in [lo, hi], by the hockey-stick identity
     return comb(choices + hi, hi) - comb(choices + lo - 1, lo - 1) if lo <= hi else 0
-
-
-def _group_window(universe: int, period: int, len_lo: int, len_hi: int,
-                  node_budget: int) -> dict:
-    """verify_window in settle mode over the group regime, by scan's residue walk.
-
-    The index walk visits the multisets whose proper prefixes are all free,
-    the ones scan counts in nodes, and a not-free multiset is not g-smooth.
-    """
-    lifted = universe - period + 1
-    # any period residues have a zero-sum subsequence: the walk ends by length period
-    top = min(len_hi, period)
-    if lifted > 1:
-        state = _LiftScan(period, top, 2, 0, node_budget, lifted)
-    else:
-        state = _Scan(period, period, period, top, 2, 0, node_budget)
-    lo = max(len_lo, 1)
-    state.free_bad = bad = _Every(top, lo)
-    state.run(1, period)
-    return {
-        "nodes": state.nodes,
-        "total": _multisets(universe, lo, len_hi),
-        "violations": list(merge(*(_lifts(r, period, lifted) for r in bad.every))),
-        "condition_hits": sum(state.free_count[lo:]) - sum(bad.by_len[lo:]),
-        "shape_hits": {},
-    }
 
 
 def verify_window(universe: int, period: int, threshold: int, tail_regime: bool,
@@ -812,38 +744,72 @@ def verify_window(universe: int, period: int, threshold: int, tail_regime: bool,
     False against "g-smooth residues for some generator" (index within
     period).
 
-    settle=True skips the subtree under every node that is not free,
-    adding its in-window multisets to total in closed form; nodes counts
-    the multisets the walk over indices visits and, in the tail regime,
-    the leaves it settles.  Each skipped multiset is not free (that is
-    upward-closed) and fails the condition, which implies freeness: it
-    keeps every subsequence sum below the threshold (tail) or off 0 mod the
-    period (group).  So none is a violation.  In the tail regime a not-free
-    child of a free multiset is itself settled without a visit, decided
-    from its parent's masks: its index total is at least the threshold, so
-    it fails the condition by arithmetic.  In the group regime over the
-    whole first-term range, without shapes, the walk is over residue
-    multisets (_group_window): the lifts of a free residue multiset are all
-    free and all g-smooth or none, so the violations are every lift, in
-    lexicographic order, of each free one that is not g-smooth.  shapes, a
-    sequence of (label, multiset) pairs, makes each listed multiset predict
-    free as well (the critical-case split); a shape and a proper prefix of
-    one are never skipped.  Settle mode adds the keys condition_hits and
-    shape_hits (per label), both over the window.  Without settle every
-    multiset up to len_hi is visited.
+    settle=True runs scan's walk, in mode 1 (tail) or 2 (group): it visits
+    the free multisets only and counts every other multiset whose proper
+    prefixes are all free as a settled leaf, so nodes is what scan counts
+    over the same first-term range.  A multiset that is not free fails the
+    condition, which implies freeness: it keeps every subsequence sum below
+    the threshold (tail) or off 0 mod the period (group).  So the
+    violations are the free multisets the walk tallies as bad, and total
+    is every multiset of the window, in closed form.  In the group regime
+    over the whole first-term range the walk is over residue multisets
+    (_LiftScan): the lifts of a free residue multiset are all free and all
+    g-smooth or none, so the violations are every lift of each free one
+    that is not g-smooth.  shapes, a sequence of (label, multiset) pairs,
+    makes each listed multiset predict free as well (the critical-case
+    split): each listed shape in the window is decided by its own profile,
+    and it is a violation iff it is not free.  Settle mode adds the keys
+    condition_hits (the multisets of the window that meet the condition)
+    and shape_hits (per label, the listed shapes in the window).  The
+    violations come in lexicographic order.
+
+    Without settle every multiset up to len_hi is visited (_Verify), and
+    shapes are ignored.
     """
-    if (settle and not tail_regime and not shapes and threshold == period
-            and (first_lo, first_hi) == (1, universe)):
-        return _group_window(universe, period, len_lo, len_hi, node_budget)
-    state = _Verify(universe, period, threshold, tail_regime,
-                    len_lo, len_hi, node_budget, settle, shapes)
-    state.run(first_lo, first_hi)
-    result = {
+    if not settle:
+        state = _Verify(universe, period, threshold, tail_regime, len_lo, len_hi,
+                        node_budget)
+        state.run(first_lo, first_hi)
+        return {"nodes": state.nodes, "total": state.total, "violations": state.violations}
+    lo = max(len_lo, 1)
+    # no free multiset is longer than threshold + period - 2, nor than
+    # period - 1 when threshold == period, so the walk, nodes included, is
+    # the same at any longer cap
+    top = min(len_hi, period if threshold == period else threshold + period - 1)
+    lifted = universe - period + 1
+    lift = (not tail_regime and threshold == period < universe
+            and (first_lo, first_hi) == (1, universe))
+    if lift:
+        state = _LiftScan(period, top, 2, 0, node_budget, lifted)
+    else:
+        state = _Scan(universe, period, threshold, top, 1 if tail_regime else 2, 0,
+                      node_budget)
+    state.free_bad = bad = _Every(top, lo)
+    state.run(first_lo, period if lift else first_hi)
+    # _Every records a node's children before their subtrees; sorted, they
+    # are in DFS (lexicographic) order
+    violations = ({f for r in bad.every for f in _lifts(r, period, lifted)} if lift
+                  else set(bad.every))
+    labels: dict[tuple[int, ...], list[str]] = {}
+    for label, shape in shapes:
+        labels.setdefault(tuple(shape), []).append(label)
+    shape_hits = dict.fromkeys((label for label, _ in shapes), 0)
+    for shape, names in labels.items():
+        # the multisets of the window: nondecreasing over [1, universe]
+        if (lo <= len(shape) <= len_hi and first_lo <= shape[0] <= first_hi
+                and shape[-1] <= universe and shape == tuple(sorted(shape))):
+            for label in names:
+                shape_hits[label] += 1
+            # a shape predicts free: a free one is no violation, a non-free one is
+            if profile(shape, threshold, period)[1] & 1:
+                violations.add(shape)
+            else:
+                violations.discard(shape)
+    return {
         "nodes": state.nodes,
-        "total": state.total,
-        "violations": state.violations,
+        "total": (_multisets(universe - first_lo + 1, lo, len_hi)
+                  - _multisets(universe - first_hi, lo, len_hi)),
+        "violations": sorted(violations),
+        "condition_hits": sum(state.free_count[lo:]) - sum(bad.by_len[lo:]),
+        "shape_hits": shape_hits,
     }
-    if settle:
-        result["condition_hits"] = state.condition_hits
-        result["shape_hits"] = state.shape_hits
-    return result

@@ -136,6 +136,28 @@ def all_multisets(universe: int, max_len: int, min_len: int = 1):
         yield from combinations_with_replacement(range(1, universe + 1), length)
 
 
+def one_smooth_counts(universe: int, threshold: int, max_len: int) -> list[int]:
+    """Per length up to max_len, the 1-smooth multisets over [1, universe] with total < threshold.
+
+    The multisets are nondecreasing, and the count of length 0 is 0.  A DP over (last term, total), one length at a time: a term w may follow
+    last iff last <= w <= total + 1.  In the tail regime these are exactly
+    the free multisets that are 1-smooth, which scan's mode 1 counts as
+    free_count - free_bad, by a walk that shares no code with this.
+    """
+    counts = [0] * (max_len + 1)
+    # (last, total) -> multisets; the empty one takes any first term >= 1
+    level = {(1, 0): 1}
+    for length in range(1, max_len + 1):
+        grown: dict[tuple[int, int], int] = {}
+        for (last, total), ways in level.items():
+            for w in range(last, min(universe, total + 1, threshold - 1 - total) + 1):
+                key = (w, total + w)
+                grown[key] = grown.get(key, 0) + ways
+        counts[length] = sum(grown.values())
+        level = grown
+    return counts
+
+
 # --- the critical-case split, one multiset at a time -------------------------
 # The per-multiset implementation verify_critical_cases had before it moved
 # onto the settle-mode DFS: every multiset of the window is profiled and
@@ -191,3 +213,90 @@ def critical_cases_by_enumeration(params) -> dict:
         case_tallies=tallies,
     )
     return report.to_json_dict()
+
+
+# --- the settle-mode verify walk, one index multiset at a time ---------------
+# The walk verify_window ran in settle mode before it moved onto scan's walk:
+# it visits every free multiset, settles a non-free subtree in closed form
+# and never skips a listed shape or a proper prefix of one.  It is the
+# reference for verify_window(settle=True).
+
+class SettleVerify(_kernels._Dfs):
+    def __init__(self, universe, period, threshold, tail_regime,
+                 len_lo, len_hi, node_budget, settle, shapes):
+        # a non-free tail-regime multiset has index total >= threshold, so it
+        # fails the condition by arithmetic and its leaf test can settle it
+        super().__init__(universe, period, threshold, len_hi, node_budget,
+                         settle and tail_regime)
+        self.tail_regime = tail_regime
+        # only the group condition reads the generator rows
+        self.rows = () if tail_regime else _kernels.generator_rows(period, universe)
+        self.len_lo = len_lo
+        self.total = 0
+        self.violations: list[tuple[int, ...]] = []
+        self.settle = settle
+        self.condition_hits = 0
+        self.shape_labels: dict[tuple[int, ...], list[str]] = {}
+        self.shape_hits: dict[str, int] = {}
+        self.shape_prefixes: set[tuple[int, ...]] = set()
+        for label, shape in shapes:
+            shape = tuple(shape)
+            self.shape_labels.setdefault(shape, []).append(label)
+            self.shape_hits[label] = 0
+            self.shape_prefixes.update(shape[:i] for i in range(1, len(shape)))
+
+    def _children(self, terms, sums, exact, total, smooth, depth):
+        leaf = self.leaf
+        if leaf is None:
+            return terms
+        # settle mode, tail regime: a non-free child is not a violation, so
+        # it is settled, unless it is a listed shape or a proper prefix of
+        # one, which it can be only at the root or under such a prefix
+        children = []
+        shapes, prefixes = self.shape_labels, self.shape_prefixes
+        shaped = shapes and (not depth or tuple(self.stack) in prefixes)
+        for w in terms:
+            if sums & leaf[w] and not (shaped and ((child := (*self.stack, w)) in shapes
+                                                   or child in prefixes)):
+                self.total += (depth + 1 >= self.len_lo) + self._extensions(w, depth + 1)
+            else:
+                children.append(w)
+        return children
+
+    def _node(self, depth, parent_exact, high, total, smooth):
+        if depth >= self.len_lo:
+            self.total += 1
+            if self.tail_regime:
+                predicted = smooth and total <= self.threshold - 1
+            else:
+                predicted = _kernels.smooth_for_some_generator(
+                    self.rows, self.stack, self.n, False)
+            if self.settle:
+                self.condition_hits += predicted
+                if self.shape_labels:
+                    for label in self.shape_labels.get(tuple(self.stack), ()):
+                        self.shape_hits[label] += 1
+                        predicted = True
+            if (not high & 1) != predicted:
+                self.violations.append(tuple(self.stack))
+        if (self.settle and high & 1 and depth < self.max_len
+                and not (self.shape_prefixes and tuple(self.stack) in self.shape_prefixes)):
+            self.total += self._extensions(self.stack[-1], depth)
+            return False
+        return True
+
+    def _extensions(self, last: int, depth: int) -> int:
+        """The in-window proper extensions of a multiset of length depth ending in last."""
+        # C(u-last+j, j) multisets add j terms from [last, u]
+        return _kernels._multisets(self.u - last + 1, max(1, self.len_lo - depth),
+                                   self.max_len - depth)
+
+
+def settle_window(universe, period, threshold, tail_regime, len_lo, len_hi,
+                  first_lo, first_hi, node_budget, shapes=()) -> dict:
+    """verify_window(..., settle=True)'s dict, by the reference walk over indices."""
+    state = SettleVerify(universe, period, threshold, tail_regime,
+                         len_lo, len_hi, node_budget, True, shapes)
+    state.run(first_lo, first_hi)
+    return {"nodes": state.nodes, "total": state.total, "violations": state.violations,
+            "condition_hits": state.condition_hits, "shape_hits": state.shape_hits}

@@ -299,10 +299,7 @@ def test_group_verify_matches_index_walk(k, n):
     u = k + n - 1
 
     def index_walk(budget):
-        state = _kernels._Verify(u, n, n, False, lo, hi, budget, True, ())
-        state.run(1, u)
-        return {"nodes": state.nodes, "total": state.total, "violations": state.violations,
-                "condition_hits": state.condition_hits, "shape_hits": state.shape_hits}
+        return oracles.settle_window(u, n, n, False, lo, hi, 1, u, budget)
 
     def lift_walk(budget):
         return _kernels.verify_window(u, n, n, False, lo, hi, 1, u, budget, True)
@@ -314,6 +311,38 @@ def test_group_verify_matches_index_walk(k, n):
         nodes = want["nodes"]
         for budget in sorted({0, 1, nodes // 2, nodes - 1, nodes}):
             assert _outcome(lift_walk, budget) == _outcome(index_walk, budget), (lo, budget)
+
+
+@pytest.mark.parametrize("k,n", SMALL_PAIRS)
+def test_verify_window_matches_settle_reference(k, n):
+    # settle mode runs scan's walk and counts the rest in closed form; the
+    # reference walk over indices, which visits every free multiset and
+    # never skips a shape or a prefix of one, must give the same dict,
+    # nodes and every violation in order included, in both regimes, over
+    # the whole range and every single first term, with and without the
+    # case shapes, and the same result or refusal text at every budget of
+    # a ladder around the node count over the whole range
+    p = P(k, n)
+    u, t = p.size, p.threshold
+    bound = structure_bound(p)
+    hi = bound + 3
+    shape_lists = [()] + ([case_shapes(p)] if k > n else [])
+    for tail in (True, False):
+        for lo in sorted({1, bound}):
+            for shapes in shape_lists:
+                def fast(budget, first=(1, u)):
+                    return _kernels.verify_window(u, n, t, tail, lo, hi, *first, budget, True,
+                                                  shapes)
+
+                def reference(budget, first=(1, u)):
+                    return oracles.settle_window(u, n, t, tail, lo, hi, *first, budget, shapes)
+
+                where = (tail, lo, bool(shapes))
+                for first in [(1, u)] + [(v, v) for v in range(1, u + 1)]:
+                    assert fast(10**8, first) == reference(10**8, first), (*where, first)
+                nodes = reference(10**8)["nodes"]
+                for budget in sorted({0, 1, nodes // 3, nodes // 2, nodes - 1, nodes}):
+                    assert _outcome(fast, budget) == _outcome(reference, budget), (*where, budget)
 
 
 def test_searches_run_in_process_at_any_workers():
@@ -468,6 +497,45 @@ def test_tail_scan_matches_its_recorded_digest(k, n, cap, first_lo, nodes, diges
         assert str(err.value) == str(_kernels.over_budget(nodes - 1))
 
 
+TAIL_PAIRS_TO_16 = [(k, n) for k in range(2, 16) for n in range(1, k) if k + n <= 16]
+
+
+def test_free_minus_bad_counts_the_one_smooth_multisets():
+    # in the tail regime a free 1-smooth multiset has total below t, and a
+    # multiset with total below t is free, so free - bad in mode 1 is the
+    # count of 1-smooth multisets with total below t at every length: at
+    # the cap t+n-1, which closes the walk, and one below it.  The
+    # condition hits of the structure and case windows are the same count
+    # summed over the window.  (20,2) and (31,6) are the pairs of the tail
+    # scan digests.
+    for k, n in TAIL_PAIRS_TO_16 + [(20, 2), (31, 6)]:
+        p = P(k, n)
+        u, t = p.size, p.threshold
+        for cap in (t + n - 1, t + n - 2):
+            got = _kernels.scan(u, n, t, cap, 1, u, 1, 0, 10**8)
+            want = oracles.one_smooth_counts(u, t, cap)
+            assert [free - bad for free, bad in zip(got["free_count_by_len"],
+                                                    got["free_bad_by_len"])] == want, (k, n, cap)
+        bound, critical = structure_bound(p), critical_length(p)
+        for lo, hi, shapes in [(bound, bound + 3, ()),
+                               (critical, max(critical, max_free_length(p)), case_shapes(p))]:
+            window = _kernels.verify_window(u, n, t, True, lo, hi, 1, u, 10**8, True, shapes)
+            assert window["condition_hits"] == sum(oracles.one_smooth_counts(u, t, hi)[lo:]), \
+                (k, n, lo)
+
+
+def test_case_shapes_have_only_free_proper_prefixes():
+    # so the settle-mode case window, which does not descend under a
+    # non-free multiset, reaches every shape it lists, and its nodes are
+    # those of the walk that never skipped a shape's prefix
+    for k in range(2, 61):
+        for n in range(1, min(k, 31)):
+            prefixes = {shape[:i] for _, shape in case_shapes(P(k, n))
+                        for i in range(1, len(shape))}
+            for prefix in prefixes:
+                assert oracles.idempotent_sum_free_oracle(k, n, prefix), (k, n, prefix)
+
+
 def test_ladder_summary_decides_every_one_term_extension():
     # (reach, need) of D: D + [x] is 1-smooth iff need <= x <= reach + 1,
     # against the sorted-prefix test for every D of up to 5 terms from 1..7
@@ -525,9 +593,9 @@ def test_settle_mode_agrees_with_exhaustive_window(k, n):
 
 
 def test_settle_mode_never_skips_a_shape():
-    # (6,) is the idempotent of C_{5;3}, so it is not free and its subtree
-    # is settled unless a shape lies in it; a bogus shape below it must
-    # still be visited and reported
+    # (6,) is the idempotent of C_{5;3}, so it is not free and the walk
+    # does not descend under it; a bogus shape below it must still be
+    # counted and reported
     p = P(5, 3)
     u, t = p.size, p.threshold
     plain = _kernels.verify_window(u, 3, t, True, 1, 4, 1, u, 10**6, True)
@@ -542,8 +610,8 @@ def test_settle_mode_never_skips_a_shape():
 
 def test_settle_mode_never_settles_a_shape_leaf():
     # (1,) is free in C_{5;3} and (1,5) is not (1+5 is the idempotent 6),
-    # so (1,5) is a leaf the tail regime settles without a visit, unless it
-    # or a longer multiset through it is a listed shape
+    # so (1,5) is a leaf the tail regime settles without a visit; listed as
+    # a shape, it or a longer multiset through it must still be reported
     p = P(5, 3)
     u, t = p.size, p.threshold
     plain = _kernels.verify_window(u, 3, t, True, 1, 4, 1, u, 10**6, True)
