@@ -3,7 +3,8 @@
 Self-contained integer routines shared by the higher-level modules.
 Subset sums are tracked as bitmasks: bit s of the exact mask marks an
 achievable nonempty subsequence index-sum s below the cap, bit r of the
-high mask marks an achievable sum >= cap with residue r mod the period.
+high mask marks an achievable sum >= cap with residue r mod the period
+(profile, which classify reads).
 
 This module is the one home of each sequence predicate that classify and
 the DFS share: the subset-sum step (profile_step), the generator table
@@ -12,20 +13,26 @@ _ladder for every one-term extension at once) and the minimality rule
 (is_minimal_extension); idemfree.classify checks outside input and calls
 them.
 
-scan() walks a depth-first enumeration of nondecreasing multisets (_Dfs)
-that visits only free multisets: each non-free child of a free multiset is
-decided from its parent's masks, a minimal idempotent-sum candidate
+The walks (_Dfs) carry one free-term mask z per multiset P instead of
+the high mask: bit m of z says whether P + m is free, for every term m
+at once, with the terms past the threshold folded onto one bit per
+residue.  A subsequence of P + v + m that reaches the idempotent
+either misses v or holds both v and m, so the mask of a child P + v is
+one AND of P's mask with itself shifted by v.  P's free children are
+the bits of z from P's last term on.
+
+scan() walks a depth-first enumeration of nondecreasing multisets that
+visits only free multisets: each non-free child of a free multiset is a
+clear bit of its parent's mask, a minimal idempotent-sum candidate
 classified there in closed form (minimal_candidates), and counted without
-a visit.  In modes 0 and 1 the children of each free child are decided at
-its parent too, by the pair rule (_Scan): P + v + w, for free children
-v <= w of a free P, is free iff P's sums miss the leaf mask of the term
-sum v + w.  So a free child with no free child is not visited either; its
-minimal candidates are classified and its children counted at its parent.
-verify_window in settle mode is that walk in mode 1 (tail regime) or 2
-(group regime), tallying every free bad multiset of its window: a
-non-free multiset fails the structure condition, so the violations are
-the free ones that fail it, and the rest of the window is closed form.
-Without settle, verify_window visits every multiset (_Verify).
+a visit.  In modes 0 and 1 a free child whose own mask has no free child
+is not visited either (_Scan); its minimal candidates are classified and
+its children counted at its parent.  verify_window in settle mode is that
+walk in mode 1 (tail regime) or 2 (group regime), tallying every free bad
+multiset of its window: a non-free multiset fails the structure
+condition, so the violations are the free ones that fail it, and the rest
+of the window is closed form.  Without settle, verify_window visits every
+multiset (_Verify).
 
 In the group regime (threshold == period < universe) every predicate of
 scan but mode 1 reads residues only, so scan over the whole first-term
@@ -47,7 +54,6 @@ Free/minimal/bad classification modes for scan():
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import lru_cache
 from heapq import merge
 from itertools import groupby, islice, product
@@ -203,8 +209,10 @@ def minimal_candidates(terms: range, parent_exact: int, total: int, threshold: i
     stop = terms.stop
     blockers = parent_exact & multiples
     if blockers:
-        stop = min(stop, (blockers & -blockers).bit_length() - 1 + lo)
-    # a comparison, not max: the scan calls this for every free multiset
+        # comparisons, not min and max: the scan calls this for every free multiset
+        cut = (blockers & -blockers).bit_length() - 1 + lo
+        if cut < stop:
+            stop = cut
     if lo < terms.start:
         lo = terms.start
     return range(lo + -(total + lo) % period, stop, period)
@@ -224,66 +232,52 @@ def is_minimal(values, threshold: int, period: int) -> bool:
                                                  period_multiples(threshold, period))
 
 
-def _leaf_masks(universe: int, period: int, threshold: int) -> tuple[int, ...]:
-    """Per term w, the sums that make a free multiset P not free once w joins it.
-
-    P + w is not free iff some subsequence holding w reaches the idempotent:
-    w alone, w plus an exact sum s of P, or w plus a high sum of P.  With
-    r = -w mod period, entry w holds bit s for each s in [0, threshold-1]
-    with s = r (mod period) and s >= threshold - w (bit 0 stands for w
-    alone), and bit threshold + r.  So P + w is not free iff entry w meets
-    P's exact mask | 1 | P's high mask << threshold.
-
-    w may also be the sum v + w of two terms, read as one term (the pair
-    rule of _Scan), so the table runs to 2 * universe.  From the threshold
-    on an entry depends only on w mod period: entries past threshold +
-    period - 1 are folded onto [threshold, threshold + period) and share
-    those masks.
-    """
-    masks = [0]
-    for w in range(1, threshold + period):
-        r = -w % period
-        least = max(0, threshold - w)
-        masks.append(_spaced_bits(least + (r - least) % period, threshold, period)
-                     | 1 << (threshold + r))
-    for w in range(threshold + period, 2 * universe + 1):
-        masks.append(masks[w - period])
-    return tuple(masks)
+def _bits(mask: int, limit: int = -1) -> list[int]:
+    """The set bits of mask, least first: all of them, or only the first limit."""
+    bits = []
+    while mask and limit:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+        limit -= 1
+    return bits
 
 
 class _Dfs:
-    """Depth-first walk over nondecreasing multisets of [1, universe].
+    """Depth-first walk over nondecreasing multisets of [1, universe], one mask per node.
+
+    A node P carries its free-term mask z: bit m < threshold is set iff
+    P + m is free; bit threshold + r iff P + m is free for the terms m >=
+    threshold with m = r mod period, since such an m plus any subset sum is
+    past the threshold; bit 0 iff P is free.  A subsequence of P + v + m
+    that reaches the idempotent misses v, or holds both v and m, so bit m
+    of z(P + v) is bit m of z(P) and bit m + v of z(P), read through that
+    fold.  With zext, z with its residue block repeated past the universe,
+    z(P + v) = z & (zext >> v): one AND per child.  The empty multiset's
+    z has every bit set but bit threshold.  Since universe < threshold +
+    period, P's free children are the bits of z from P's last term to the
+    universe.  The exact mask, index total and 1-smoothness are carried
+    too, for the minimal candidates and mode 1.
 
     The walk starts at the empty multiset and descends from each node P,
     held in self.stack, in one _descend call.  That call asks the policy's
-    _children(terms, sums, exact, total, smooth, depth) which children
-    P + w, w in terms, to visit.  terms is range(last term of P,
-    universe + 1), or the first-term range at the root; sums is P's exact
-    mask | 1 | P's high mask << threshold (1 at the root); exact, total,
-    smooth and depth are P's exact mask, index total, 1-smoothness and
-    length.  For a free P, child w is not free iff sums meets _leaf_masks
-    entry w, which policies that settle leaves (settles=True) get as
-    self.leaf.  _children returns the children to visit, in increasing
-    order.  Every other child is a settled leaf, which the policy decides
-    from P's masks; the walk counts it without a visit, adding each run of
-    settled leaves to nodes just before the next visit and the run after
-    the last visit at the end, with the budget check each time.  nodes
-    thus counts visited multisets and settled leaves in DFS order.  A
-    policy counts any other multisets it reaches with _count (the lift
-    leaves of _LiftScan).
+    _children(terms, z, exact, total, smooth, depth) for the mask of the
+    children P + w, w in terms, to visit.  terms is range(last term of P,
+    universe + 1), or the first-term range at the root; z, exact, total,
+    smooth and depth are P's.  Every other child is a settled leaf, which
+    the policy decides from z; the walk counts it without a visit, adding
+    each run of settled leaves to nodes just before the next visit and the
+    run after the last visit at the end, with the budget check each time.
+    Children of length max_len are all counted at once, after _children
+    has classified them.  nodes thus counts visited multisets and settled
+    leaves in DFS order.  A policy counts any other multisets it reaches
+    with _count (the lift leaves of _LiftScan).
 
-    A policy with pairs set decides each child's children at P too: for
-    each child v = children[i] shorter than max_len, before the walk builds
-    v's high mask, it asks _childless(children, i, sums, exact, total,
-    smooth, depth) with P's sums and v's exact mask, index total,
-    1-smoothness and length.  A true answer means every child of v is a
-    settled leaf, so v is settled as well: the walk counts v and its
-    children at that point and neither builds v's high mask nor descends.
-
-    Each other child in the list is visited: it goes to _node(depth,
-    parent_exact, high, total, smooth) with its length, the exact mask of
-    its parent, its high mask, index total and 1-smoothness; _node returns
-    whether to descend.
+    A child v whose own mask has no bit in [v, universe] has no free
+    child.  The walk then asks _settle(exact, total, smooth, depth),
+    with v on the stack and v's exact mask, index total, 1-smoothness and
+    length.  A true answer settles v: the walk counts its u - v + 1
+    children at that point and does not descend.
 
     The walk never goes past max_len terms and refuses with BudgetError
     once nodes exceeds node_budget, or once its recursion, one _descend
@@ -292,72 +286,66 @@ class _Dfs:
     """
 
     def __init__(self, universe: int, period: int, threshold: int, max_len: int,
-                 node_budget: int, settles: bool):
+                 node_budget: int):
         self.u = universe
         self.n = period
         self.threshold = threshold
         self.max_len = max_len
         self.budget = node_budget
         self.below = (1 << threshold) - 2
-        self.nmask = (1 << period) - 1
+        self.low = (1 << threshold) - 1
+        self.upto = (1 << universe + 1) - 1
+        # residue block copies up to bit threshold + universe + period, past every m + v read
+        self.rep = _spaced_bits(0, universe + period + 1, period)
         self.nodes = 0
         self.stack: list[int] = []
-        self.leaf = _leaf_masks(universe, period, threshold) if settles else None
-        self.pairs = False
 
     def run(self, first_lo: int, first_hi: int) -> None:
         try:
             if self.max_len >= 1:
-                # the empty multiset: free, and its only subset sum is 0
-                self._descend(range(first_lo, first_hi + 1), 1, 0, 0, 0, True)
+                t = self.threshold
+                self._descend(range(first_lo, first_hi + 1),
+                              ((1 << t + self.n) - 1) ^ (1 << t), 0, 0, True)
         except RecursionError:
             raise BudgetError(f"enumeration aborted: a walk to length {self.max_len} "
                               "exceeds Python's recursion limit") from None
 
-    def _descend(self, terms: range, sums: int, exact: int, high: int, total: int,
-                 smooth: bool) -> None:
+    def _descend(self, terms: range, z: int, exact: int, total: int, smooth: bool) -> None:
         stack = self.stack
         depth = len(stack) + 1
-        n = self.n
-        cap = self.threshold
+        kids = self._children(terms, z, exact, total, smooth, depth - 1)
+        if depth == self.max_len:
+            self._count(len(terms))
+            return
         budget = self.budget
-        deeper = depth < self.max_len
-        pairs = self.pairs and deeper
+        cap = self.threshold
+        below = self.below
+        upto = self.upto
         top = self.u + 1
         nxt = terms.start
-        children = self._children(terms, sums, exact, total, smooth, depth - 1)
-        for i, v in enumerate(children):
+        zext = (z & self.low) | ((z >> cap) * self.rep) << cap
+        while kids:
+            low = kids & -kids
+            kids ^= low
+            v = low.bit_length() - 1
             # the settled leaves before v, then v
             self.nodes += v - nxt + 1
             if self.nodes > budget:
                 raise over_budget(budget)
             nxt = v + 1
-            # profile_step, inlined (a call per node would cost the scan about 3%):
-            # the exact mask here, the high mask only for a child the walk visits
-            shifted = (exact << v) | (1 << v)
-            child_exact = (exact | shifted) & self.below
+            child_z = z & (zext >> v)
+            child_exact = (exact | exact << v | low) & below
             child_total = total + v
             child_smooth = smooth and v <= 1 + total
             stack.append(v)
-            if pairs and self._childless(children, i, sums, child_exact, child_total,
-                                         child_smooth, depth):
+            if not (child_z & upto) >> v and self._settle(child_exact, child_total,
+                                                           child_smooth, depth):
                 # v's children, all settled leaves
                 self.nodes += top - v
                 if self.nodes > budget:
                     raise over_budget(budget)
             else:
-                child_high = high
-                if high:
-                    d = v % n
-                    child_high |= ((high << d) | (high >> (n - d))) & self.nmask
-                over = shifted >> cap
-                while over:
-                    low = over & -over
-                    child_high |= 1 << ((cap + low.bit_length() - 1) % n)
-                    over ^= low
-                if self._node(depth, exact, child_high, child_total, child_smooth) and deeper:
-                    self._descend(range(v, top), child_exact | 1 | child_high << cap,
-                                  child_exact, child_high, child_total, child_smooth)
+                self._descend(range(v, top), child_z, child_exact, child_total, child_smooth)
             stack.pop()
         if nxt < terms.stop:
             self.nodes += terms.stop - nxt
@@ -370,13 +358,13 @@ class _Dfs:
         if self.nodes > self.budget:
             raise over_budget(self.budget)
 
-    def _children(self, terms: range, sums: int, exact: int, total: int, smooth: bool,
-                  depth: int):
+    def _children(self, terms: range, z: int, exact: int, total: int, smooth: bool,
+                  depth: int) -> int:
         raise NotImplementedError
 
-    def _node(self, depth: int, parent_exact: int, high: int, total: int,
-              smooth: bool) -> bool:
-        raise NotImplementedError
+    def _settle(self, exact: int, total: int, smooth: bool, depth: int) -> bool:
+        """Whether to settle the childless child on top of the stack instead of visiting it."""
+        return False
 
 
 class _Tally:
@@ -387,10 +375,8 @@ class _Tally:
         self.best_len = 0
         self.best: list[tuple[int, ...]] = []
 
-    def record(self, prefix: list[int], lasts, count: int) -> None:
-        """Tally prefix + [w] for each w of the increasing sequence lasts, count in all."""
-        if not lasts:
-            return
+    def record(self, prefix: list[int], lasts: int, count: int) -> None:
+        """Tally prefix + [w] for each bit w of the nonzero mask lasts, count in all."""
         depth = len(prefix) + 1
         self.by_len[depth] += count
         if depth > self.best_len:
@@ -399,7 +385,8 @@ class _Tally:
         room = WITNESS_LIMIT - len(self.best)
         if depth == self.best_len and room > 0:
             head = tuple(prefix)
-            self.best.extend(head + (w,) for w in lasts[:room])
+            # only as many bits as there is room for: a mask may be the universe wide
+            self.best.extend(head + (w,) for w in _bits(lasts, room))
 
 
 class _Every(_Tally):
@@ -410,12 +397,12 @@ class _Every(_Tally):
         self.lo = lo
         self.every: list[tuple[int, ...]] = []
 
-    def record(self, prefix: list[int], lasts, count: int) -> None:
+    def record(self, prefix: list[int], lasts: int, count: int) -> None:
         depth = len(prefix) + 1
         self.by_len[depth] += count
         if depth >= self.lo:
             head = tuple(prefix)
-            self.every.extend(head + (w,) for w in lasts)
+            self.every.extend(head + (w,) for w in _bits(lasts))
 
 
 class _Scan(_Dfs):
@@ -424,23 +411,15 @@ class _Scan(_Dfs):
     Each free child and each minimal idempotent-sum candidate among the
     children of a node P has length len(P) + 1, and every multiset under a
     free child of P is longer, so classifying them before the descent
-    keeps each length's witnesses in DFS (lexicographic) order.
+    keeps each length's witnesses in DFS (lexicographic) order.  Children
+    are masks: the free ones are the bits of z in terms, the minimal
+    candidates one progression of step period (minimal_candidates).
 
-    Without generator rows (modes 0 and 1) the walk decides each free
-    child's children at its parent (pairs, _childless), by the pair rule:
-    for a free P with free children F and v <= w in F, P + v + w is free
-    iff P's sums miss _leaf_masks entry v + w.  A subsequence holding w
-    either misses v, and P + w is free, or holds v too and sums to v + w
-    plus 0 or a subset sum of P.  So a free child v of P has the free
-    children w >= v in F that pass that test, and the walk visits v only
-    if it has one; otherwise v's minimal candidates are classified at P
-    and v's children counted there.  The list of each visited child comes
-    from its parent (kids); only the root tests the terms one by one.
-    Since the first-term range may stop before the universe, the root
-    keeps its free children over [first_lo, universe] (roots) for the pair
-    rule.  The walks with generator rows (modes 2 and 3) and _LiftScan,
-    where row and lift work dominate, visit every free child and test its
-    terms one by one.
+    Without generator rows (modes 0 and 1) a free child with no free child
+    is settled at its parent (_settle): its minimal candidates are
+    classified there and its children counted.  The walks with generator
+    rows (modes 2 and 3) and _LiftScan, where row and lift work dominate,
+    visit every free child.
 
     For modes 2 and 3, live[d] holds (total, row, reach, need) for each
     generator row whose total over the first d terms on the stack is below
@@ -452,7 +431,7 @@ class _Scan(_Dfs):
 
     def __init__(self, universe, period, threshold, max_len,
                  free_bad_mode, minimal_bad_mode, node_budget):
-        super().__init__(universe, period, threshold, max_len, node_budget, True)
+        super().__init__(universe, period, threshold, max_len, node_budget)
         self.free_bad_mode = free_bad_mode
         self.minimal_bad_mode = minimal_bad_mode
         self.free_count = [0] * (max_len + 1)
@@ -460,6 +439,8 @@ class _Scan(_Dfs):
         self.free_bad = _Tally(max_len)
         self.minimal_bad = _Tally(max_len)
         self.multiples = period_multiples(threshold, period)
+        # the minimal candidates, one progression of step period, are a window of this mask
+        self.steps = _spaced_bits(0, universe + 1, period)
         self.live = None
         # phi(period) rows of universe + 1 entries, which only modes 2 and 3 read
         self.rows = ()
@@ -468,33 +449,36 @@ class _Scan(_Dfs):
             self.live = [[]] * (max_len + 1)
             self.live[0] = [(0, row, 0, 0) for _, row in self.rows]
         self.ladders = 2 in (free_bad_mode, minimal_bad_mode)
-        self.pairs = self.live is None
-        self.roots: list[int] = []
-        self.kids: list[int] = []
 
-    def _bad(self, lasts, total: int, smooth: bool, depth: int, mode: int, zero_sum: bool):
-        """The w in lasts with self.stack + [w] bad per mode (minimal ones if zero_sum)."""
+    def _bad(self, lasts: int, total: int, smooth: bool, depth: int, mode: int,
+             zero_sum: bool) -> int:
+        """The mask of the w in the mask lasts with self.stack + [w] bad per mode.
+
+        Bad among the minimal candidates if zero_sum, else among the free children.
+        """
         if mode == 1:
             # P + w is 1-smooth iff P is and w <= 1 + total
-            return lasts if not smooth else [w for w in lasts if w > total + 1]
+            return lasts >> total + 2 << total + 2 if smooth else lasts
         n = self.n
         live = self.live[depth]
+        bad = 0
         if mode == 3:
-            if not self.rows:
-                return []
-            return [w for w in lasts if not any(t + row[w] == n for t, row, _, _ in live)]
-        bad = []
-        for w in lasts:
+            if self.rows:
+                for w in _bits(lasts):
+                    if not any(t + row[w] == n for t, row, _, _ in live):
+                        bad |= 1 << w
+            return bad
+        for w in _bits(lasts):
             for t, row, reach, need in live:
                 x = row[w]
                 if (t + x == n if zero_sum else t + x < n) and need <= x <= reach + 1:
                     break
             else:
-                bad.append(w)
+                bad |= 1 << w
         return bad
 
-    def _children(self, terms, sums, exact, total, smooth, depth, weigh=len):
-        """Count and classify P's children, weighing each list of them with weigh."""
+    def _children(self, terms, z, exact, total, smooth, depth, weigh=int.bit_count):
+        """Count and classify P's children, weighing each mask of them with weigh."""
         if depth and self.live is not None:
             n, stack = self.n, self.stack
             v = stack[-1]
@@ -514,55 +498,38 @@ class _Scan(_Dfs):
                     live.append((t + x, row, *_ladder(sorted([row[w] for w in stack]))))
             self.live[depth] = live
         if self.minimal_bad_mode:
-            candidates = minimal_candidates(terms, exact, total, self.threshold, self.n,
-                                            self.multiples)
-            if candidates:
-                self._minimal(candidates, total, smooth, depth, weigh)
-        if depth and self.pairs:
-            free = self.kids
-        else:
-            leaf = self.leaf
-            free = [w for w in terms if not sums & leaf[w]]
-            if self.pairs:
-                # the root's free children past the first-term range, for the pair rule
-                self.roots = free + [w for w in range(terms.stop, self.u + 1)
-                                     if not sums & leaf[w]]
+            found = minimal_candidates(terms, exact, total, self.threshold, self.n, self.multiples)
+            if found:
+                self._minimal(found, total, smooth, depth, weigh)
+        free = z & ((1 << terms.stop) - 1) >> terms.start << terms.start
         if free:
             self.free_count[depth + 1] += weigh(free)
             if self.free_bad_mode:
                 bad = self._bad(free, total, smooth, depth, self.free_bad_mode, False)
-                self.free_bad.record(self.stack, bad, weigh(bad))
+                if bad:
+                    self.free_bad.record(self.stack, bad, weigh(bad))
         return free
 
-    def _minimal(self, candidates, total, smooth, depth, weigh=len) -> None:
-        """Count and classify P's children in candidates, P's minimal idempotent-sum ones."""
+    def _minimal(self, found: range, total, smooth, depth, weigh=int.bit_count) -> None:
+        """Count and classify P's minimal idempotent-sum children P + w, w in found."""
+        candidates = self.steps << found.start & (1 << found.stop) - 1
         self.minimal_count[depth + 1] += weigh(candidates)
         bad = self._bad(candidates, total, smooth, depth, self.minimal_bad_mode, True)
-        self.minimal_bad.record(self.stack, bad, weigh(bad))
+        if bad:
+            self.minimal_bad.record(self.stack, bad, weigh(bad))
 
-    def _childless(self, free, i, sums, exact, total, smooth, depth) -> bool:
-        """Whether child v = free[i] of P has no free child; else keep them as kids.
+    def _settle(self, exact, total, smooth, depth):
+        """Settle a childless free child v at its parent unless the walk reads rows.
 
-        free is P's free children (roots at the root), sums P's; exact,
-        total, smooth and depth are v's.  A childless v is not visited, so
-        its minimal candidates are classified here, with v on the stack.
+        v is on the stack, and its minimal candidates are classified here.
         """
-        if depth == 1:
-            free = self.roots
-        v = free[i]
-        leaf = self.leaf
-        kids = [w for w in free[i:] if not sums & leaf[v + w]]
-        if kids:
-            self.kids = kids
+        if self.live is not None:
             return False
         if self.minimal_bad_mode:
-            candidates = minimal_candidates(range(v, self.u + 1), exact, total, self.threshold,
-                                            self.n, self.multiples)
-            if candidates:
-                self._minimal(candidates, total, smooth, depth)
-        return True
-
-    def _node(self, depth, parent_exact, high, total, smooth):
+            found = minimal_candidates(range(self.stack[-1], self.u + 1), exact, total,
+                                       self.threshold, self.n, self.multiples)
+            if found:
+                self._minimal(found, total, smooth, depth)
         return True
 
     def _witnesses(self, tally: _Tally) -> list[tuple[int, ...]]:
@@ -623,24 +590,23 @@ class _LiftScan(_Scan):
         super().__init__(period, period, period, max_len,
                          free_bad_mode, minimal_bad_mode, node_budget)
         self.lifted = lifted
-        # lifts and spare leaves are counted per visited residue multiset
-        self.pairs = False
+        self.liftable = (1 << lifted) - 1
         self.weight = [1] * (max_len + 1)
         self.base = [1] * (max_len + 1)
         self.spare = [lifted - 1] * (max_len + 1)
 
-    def _weigh(self, lasts) -> int:
-        """The lifts of self.stack + [w] over the increasing sequence lasts."""
+    def _weigh(self, lasts: int) -> int:
+        """The lifts of self.stack + [w] over the bits w of the mask lasts."""
         depth = len(self.stack)
         weight = self.weight[depth]
         # a w < lifted adds base if it repeats the last term, else weight
-        lifts = bisect_left(lasts, self.lifted)
-        count = weight * (len(lasts) + lifts)
-        if lifts and depth and lasts[0] == self.stack[-1]:
+        lifts = (lasts & self.liftable).bit_count()
+        count = weight * (lasts.bit_count() + lifts)
+        if lifts and depth and lasts >> self.stack[-1] & 1:
             count += self.base[depth] - weight
         return count
 
-    def _children(self, terms, sums, exact, total, smooth, depth):
+    def _children(self, terms, z, exact, total, smooth, depth):
         if depth:
             stack, lifted = self.stack, self.lifted
             v = stack[-1]
@@ -654,7 +620,11 @@ class _LiftScan(_Scan):
                 self.weight[depth] = weight
                 self.spare[depth] = self.spare[depth - 1]
         self._count(self.spare[depth])
-        return super()._children(terms, sums, exact, total, smooth, depth, self._weigh)
+        return super()._children(terms, z, exact, total, smooth, depth, self._weigh)
+
+    def _settle(self, exact, total, smooth, depth):
+        # a childless residue multiset still adds its spare leaves and its lift weights
+        return False
 
     def _witnesses(self, tally: _Tally) -> list[tuple[int, ...]]:
         # a residue multiset is its own least lift, so the first WITNESS_LIMIT
@@ -672,7 +642,7 @@ def scan(universe: int, period: int, threshold: int, max_len: int,
     proper prefixes are all free, up to length max_len, with the smallest
     element in [first_lo, first_hi], and counts each in nodes.  It visits
     the free ones only.  Every not-free one is a child of a free multiset
-    and a settled leaf: decided from its parent's masks, classified there
+    and a settled leaf: a clear bit of its parent's mask, classified there
     if it is a minimal idempotent-sum candidate (minimal_bad_mode set), and
     counted without a visit.  In modes 0 and 1 a free multiset without a
     free child is settled at its parent in the same way, its minimal
@@ -702,10 +672,16 @@ def scan(universe: int, period: int, threshold: int, max_len: int,
 
 
 class _Verify(_Dfs):
-    """verify_window without settle: every multiset up to max_len is visited."""
+    """verify_window without settle: every multiset up to max_len is visited.
+
+    Each node checks its children against the structure condition: P + w
+    is free iff P is (bit 0 of P's mask) and bit w of the mask is set.
+    The violations are thus found parent first, and sorted they come in
+    DFS (lexicographic) order.
+    """
 
     def __init__(self, universe, period, threshold, tail_regime, len_lo, len_hi, node_budget):
-        super().__init__(universe, period, threshold, len_hi, node_budget, False)
+        super().__init__(universe, period, threshold, len_hi, node_budget)
         self.tail_regime = tail_regime
         # only the group condition reads the generator rows
         self.rows = () if tail_regime else generator_rows(period, universe)
@@ -713,19 +689,19 @@ class _Verify(_Dfs):
         self.total = 0
         self.violations: list[tuple[int, ...]] = []
 
-    def _children(self, terms, sums, exact, total, smooth, depth):
-        return terms
-
-    def _node(self, depth, parent_exact, high, total, smooth):
-        if depth >= self.len_lo:
-            self.total += 1
-            if self.tail_regime:
-                predicted = smooth and total <= self.threshold - 1
-            else:
-                predicted = smooth_for_some_generator(self.rows, self.stack, self.n, False)
-            if (not high & 1) != predicted:
-                self.violations.append(tuple(self.stack))
-        return True
+    def _children(self, terms, z, exact, total, smooth, depth):
+        if depth + 1 >= self.len_lo:
+            self.total += len(terms)
+            stack = self.stack
+            free = z if z & 1 else 0
+            for w in terms:
+                if self.tail_regime:
+                    predicted = smooth and w <= 1 + total and total + w < self.threshold
+                else:
+                    predicted = smooth_for_some_generator(self.rows, (*stack, w), self.n, False)
+                if free >> w & 1 != predicted:
+                    self.violations.append((*stack, w))
+        return ((1 << terms.stop) - 1) >> terms.start << terms.start
 
 
 def _multisets(choices: int, lo: int, hi: int) -> int:
@@ -770,7 +746,8 @@ def verify_window(universe: int, period: int, threshold: int, tail_regime: bool,
         state = _Verify(universe, period, threshold, tail_regime, len_lo, len_hi,
                         node_budget)
         state.run(first_lo, first_hi)
-        return {"nodes": state.nodes, "total": state.total, "violations": state.violations}
+        return {"nodes": state.nodes, "total": state.total,
+                "violations": sorted(state.violations)}
     lo = max(len_lo, 1)
     # no free multiset is longer than threshold + period - 2, nor than
     # period - 1 when threshold == period, so the walk, nodes included, is

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import gcd
+from math import comb, gcd
 
 from idemfree import _kernels
 from idemfree.classify import structure_condition
@@ -217,86 +217,56 @@ def critical_cases_by_enumeration(params) -> dict:
 
 # --- the settle-mode verify walk, one index multiset at a time ---------------
 # The walk verify_window ran in settle mode before it moved onto scan's walk:
-# it visits every free multiset, settles a non-free subtree in closed form
-# and never skips a listed shape or a proper prefix of one.  It is the
-# reference for verify_window(settle=True).
-
-class SettleVerify(_kernels._Dfs):
-    def __init__(self, universe, period, threshold, tail_regime,
-                 len_lo, len_hi, node_budget, settle, shapes):
-        # a non-free tail-regime multiset has index total >= threshold, so it
-        # fails the condition by arithmetic and its leaf test can settle it
-        super().__init__(universe, period, threshold, len_hi, node_budget,
-                         settle and tail_regime)
-        self.tail_regime = tail_regime
-        # only the group condition reads the generator rows
-        self.rows = () if tail_regime else _kernels.generator_rows(period, universe)
-        self.len_lo = len_lo
-        self.total = 0
-        self.violations: list[tuple[int, ...]] = []
-        self.settle = settle
-        self.condition_hits = 0
-        self.shape_labels: dict[tuple[int, ...], list[str]] = {}
-        self.shape_hits: dict[str, int] = {}
-        self.shape_prefixes: set[tuple[int, ...]] = set()
-        for label, shape in shapes:
-            shape = tuple(shape)
-            self.shape_labels.setdefault(shape, []).append(label)
-            self.shape_hits[label] = 0
-            self.shape_prefixes.update(shape[:i] for i in range(1, len(shape)))
-
-    def _children(self, terms, sums, exact, total, smooth, depth):
-        leaf = self.leaf
-        if leaf is None:
-            return terms
-        # settle mode, tail regime: a non-free child is not a violation, so
-        # it is settled, unless it is a listed shape or a proper prefix of
-        # one, which it can be only at the root or under such a prefix
-        children = []
-        shapes, prefixes = self.shape_labels, self.shape_prefixes
-        shaped = shapes and (not depth or tuple(self.stack) in prefixes)
-        for w in terms:
-            if sums & leaf[w] and not (shaped and ((child := (*self.stack, w)) in shapes
-                                                   or child in prefixes)):
-                self.total += (depth + 1 >= self.len_lo) + self._extensions(w, depth + 1)
-            else:
-                children.append(w)
-        return children
-
-    def _node(self, depth, parent_exact, high, total, smooth):
-        if depth >= self.len_lo:
-            self.total += 1
-            if self.tail_regime:
-                predicted = smooth and total <= self.threshold - 1
-            else:
-                predicted = _kernels.smooth_for_some_generator(
-                    self.rows, self.stack, self.n, False)
-            if self.settle:
-                self.condition_hits += predicted
-                if self.shape_labels:
-                    for label in self.shape_labels.get(tuple(self.stack), ()):
-                        self.shape_hits[label] += 1
-                        predicted = True
-            if (not high & 1) != predicted:
-                self.violations.append(tuple(self.stack))
-        if (self.settle and high & 1 and depth < self.max_len
-                and not (self.shape_prefixes and tuple(self.stack) in self.shape_prefixes)):
-            self.total += self._extensions(self.stack[-1], depth)
-            return False
-        return True
-
-    def _extensions(self, last: int, depth: int) -> int:
-        """The in-window proper extensions of a multiset of length depth ending in last."""
-        # C(u-last+j, j) multisets add j terms from [last, u]
-        return _kernels._multisets(self.u - last + 1, max(1, self.len_lo - depth),
-                                   self.max_len - depth)
-
+# it reaches every child of a free multiset, settles a non-free subtree in
+# closed form and never skips a listed shape or a proper prefix of one.  It
+# shares no walk with the kernel: its own recursion profiles each child with
+# profile_step and counts it in DFS order.  It is the reference for
+# verify_window(settle=True).
 
 def settle_window(universe, period, threshold, tail_regime, len_lo, len_hi,
                   first_lo, first_hi, node_budget, shapes=()) -> dict:
     """verify_window(..., settle=True)'s dict, by the reference walk over indices."""
-    state = SettleVerify(universe, period, threshold, tail_regime,
-                         len_lo, len_hi, node_budget, True, shapes)
-    state.run(first_lo, first_hi)
-    return {"nodes": state.nodes, "total": state.total, "violations": state.violations,
-            "condition_hits": state.condition_hits, "shape_hits": state.shape_hits}
+    labels: dict[tuple[int, ...], list[str]] = {}
+    for label, shape in shapes:
+        labels.setdefault(tuple(shape), []).append(label)
+    prefixes = {shape[:i] for shape in labels for i in range(1, len(shape))}
+    rows = () if tail_regime else _kernels.generator_rows(period, universe)
+    out = {"nodes": 0, "total": 0, "violations": [], "condition_hits": 0,
+           "shape_hits": dict.fromkeys((label for label, _ in shapes), 0)}
+
+    def extensions(last, length):
+        # the in-window proper extensions: C(u-last+j, j) multisets add j terms from [last, u]
+        return sum(comb(universe - last + j, j)
+                   for j in range(max(1, len_lo - length), len_hi - length + 1))
+
+    def descend(prefix, exact, high, total, smooth):
+        terms = range(first_lo, first_hi + 1) if not prefix else range(prefix[-1], universe + 1)
+        for w in terms:
+            out["nodes"] += 1
+            if out["nodes"] > node_budget:
+                raise _kernels.over_budget(node_budget)
+            child = prefix + (w,)
+            child_exact, child_high = _kernels.profile_step(exact, high, w, threshold, period)
+            child_total, child_smooth = total + w, smooth and w <= total + 1
+            free = not child_high & 1
+            if len(child) >= len_lo:
+                out["total"] += 1
+                if tail_regime:
+                    predicted = child_smooth and child_total < threshold
+                else:
+                    predicted = _kernels.smooth_for_some_generator(rows, child, period, False)
+                out["condition_hits"] += predicted
+                for label in labels.get(child, ()):
+                    out["shape_hits"][label] += 1
+                    predicted = True
+                if free != predicted:
+                    out["violations"].append(child)
+            if len(child) < len_hi:
+                if free or child in prefixes:
+                    descend(child, child_exact, child_high, child_total, child_smooth)
+                else:
+                    out["total"] += extensions(w, len(child))
+
+    if len_hi >= 1:
+        descend((), 0, 0, 0, True)
+    return out

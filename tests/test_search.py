@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from functools import cache
 from itertools import combinations_with_replacement
 from pathlib import Path
@@ -143,10 +144,58 @@ def _free_prefix_counts(k, n, cap):
     return counts
 
 
+@cache
+def _oracle_table(k, n, cap):
+    """Each multiset up to length cap with its oracle flags.
+
+    The flags: free, minimal, 1-smooth, g-smooth for some generator (below
+    the period), and sequence index not one (the period-1 group has no
+    generator, and the scan counts its index as one).
+    """
+    table = []
+    for s in oracles.all_multisets(P(k, n).size, cap):
+        residues = [v % n for v in s]
+        index = oracles.sequence_index_oracle(n, residues)
+        table.append((s, oracles.idempotent_sum_free_oracle(k, n, s),
+                      oracles.minimal_idempotent_sum_oracle(k, n, s),
+                      oracles.one_smooth_oracle(s),
+                      oracles.smooth_for_some_unit_oracle(n, residues, False),
+                      index is not None and index != 1))
+    return table
+
+
+def _scan_by_brute_force(k, n, cap, first_lo, first_hi, free_mode, minimal_mode):
+    """scan's dict but nodes, over the multisets with first term in [first_lo, first_hi].
+
+    Minimal multisets are counted only in a minimal mode; free ones always.
+    """
+    free_bad = {0: lambda row: False, 1: lambda row: not row[3], 2: lambda row: not row[4]}
+    minimal_bad = {0: lambda row: False, 1: lambda row: not row[3], 3: lambda row: row[5]}
+    want = {}
+    for kind, flag, bad in (("free", 1, free_bad[free_mode]),
+                            ("minimal", 2 if minimal_mode else None, minimal_bad[minimal_mode])):
+        counts, bad_counts, by_len = [0] * (cap + 1), [0] * (cap + 1), {}
+        for row in _oracle_table(k, n, cap) if flag else ():
+            s = row[0]
+            if first_lo <= s[0] <= first_hi and row[flag]:
+                counts[len(s)] += 1
+                if bad(row):
+                    bad_counts[len(s)] += 1
+                    by_len.setdefault(len(s), []).append(s)
+        best = max(by_len, default=0)
+        want[f"{kind}_count_by_len"] = counts
+        want[f"{kind}_bad_by_len"] = bad_counts
+        want[f"{kind}_bad_len"] = best
+        want[f"{kind}_bad_witnesses"] = sorted(by_len.get(best, []))[:_kernels.WITNESS_LIMIT]
+    return want
+
+
 @pytest.mark.parametrize("k,n", [(k, n) for k in range(1, 7) for n in range(1, 8 - k)])
 def test_scan_nodes_count_multisets_with_free_prefix(k, n):
     # the node budget counts every multiset the walk reaches: each one whose
-    # prefix is free, visited or settled as a non-free leaf, in every mode
+    # prefix is free, visited or settled as a non-free leaf, in every mode;
+    # every count, bad count and witness is that of the multisets whose
+    # first term lies in the range, the root's minimal candidates included
     p = P(k, n)
     u, t = p.size, p.threshold
     cap = default_minimal_cap(p)
@@ -156,6 +205,10 @@ def test_scan_nodes_count_multisets_with_free_prefix(k, n):
         for modes in [(0, 0), (1, 1), (2, 3)]:
             out = _kernels.scan(u, n, t, cap, first_lo, first_hi, *modes, 10**8)
             assert out["nodes"] == want, (first_lo, modes)
+            got = {key: [tuple(w) for w in value] if key.endswith("witnesses") else value
+                   for key, value in out.items() if key != "nodes"}
+            assert got == _scan_by_brute_force(k, n, cap, first_lo, first_hi, *modes), \
+                (first_lo, first_hi, modes)
 
 
 def _longest_bad(k, n, cap, bad):
@@ -389,44 +442,60 @@ def test_kernels_handle_wide_masks():
         sum(1 << r for r in {s % 5 for s in sums if s >= 60}))
 
 
-def test_leaf_masks_match_their_bitwise_definition():
-    # entry w: bits s in [t-w, t) with n | s+w (bit 0 is w alone), and bit t + (-w mod n);
-    # the entries past u are the term sums v + w of the pair rule, up to 2u
-    for k in range(1, 13):
-        for n in range(1, 13):
-            p = P(k, n)
-            t = p.threshold
-            want = [0]
-            for w in range(1, 2 * p.size + 1):
-                mask = 1 << (t + -w % n)
-                for s in range(max(0, t - w), t):
-                    if (s + w) % n == 0:
-                        mask |= 1 << s
-                want.append(mask)
-            assert _kernels._leaf_masks(p.size, n, t) == tuple(want), (k, n)
+def test_wide_refusal_holds_memory_for_the_work_done():
+    # a threshold of 32000 makes each mask 32000 bits wide, but a walk
+    # refused after 100 nodes holds masks for about 100 multisets only
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError) as err:
+            free_smooth_threshold(P(32000, 1), node_budget=100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "enumeration aborted: visited multisets exceed the node budget 100"
+    assert peak < 16 * 2**20
 
 
-@pytest.mark.parametrize("k,n", [(k, n) for n in range(1, 6) for k in range(n + 1, 13 - n)])
+class _MaskRecorder(_kernels._Dfs):
+    """The walk over free multisets, recording the free-term mask it carries for each one."""
+
+    def __init__(self, universe, period, threshold, max_len):
+        super().__init__(universe, period, threshold, max_len, 10**8)
+        self.masks = {}
+
+    def _children(self, terms, z, exact, total, smooth, depth):
+        self.masks[tuple(self.stack)] = z
+        return sum(1 << w for w in terms if z >> w & 1)
+
+
+@pytest.mark.parametrize("k,n", [(k, n) for n in range(1, 6) for k in range(n + 1, 13 - n)]
+                         + [(k, n) for n in range(2, 6) for k in range(1, n + 1)])
 def test_pair_rule_decides_the_children_of_free_children(k, n):
-    # for a free P with free children F and v <= w in F, P + v + w is free
-    # iff P's sums miss the leaf entry of the term sum v + w
+    # the pair rule for every term at once: the walk's free-term mask z of
+    # a free P, read through the fold (bit m below t, bit t + m mod n from
+    # t on), says whether P + m is free for every m in [1, 3u], and the
+    # mask of P + v is the recurrence: bit b is bit b of z(P) and bit b + v
+    # of z(P) through the fold, for every bit below t + n
     p = P(k, n)
     u, t = p.size, p.threshold
-    leaf = _kernels._leaf_masks(u, n, t)
-    checked = 0
-    for prefix in [()] + list(oracles.all_multisets(u, 4)):
-        if not oracles.idempotent_sum_free_oracle(k, n, prefix):
-            continue
-        exact, high = _kernels.profile(prefix, t, n)
-        sums = exact | 1 | high << t
-        free = [w for w in range(prefix[-1] if prefix else 1, u + 1)
-                if oracles.idempotent_sum_free_oracle(k, n, prefix + (w,))]
-        for i, v in enumerate(free):
-            for w in free[i:]:
-                want = oracles.idempotent_sum_free_oracle(k, n, prefix + (v, w))
-                assert (not sums & leaf[v + w]) == want, (prefix, v, w)
-                checked += 1
-    assert checked
+
+    def fold(z, m):
+        return z >> (m if m < t else t + m % n) & 1
+
+    state = _MaskRecorder(u, n, t, 5)
+    state.run(1, u)
+    free = {()} | {s for s in oracles.all_multisets(u, 4)
+                   if oracles.idempotent_sum_free_oracle(k, n, s)}
+    assert set(state.masks) == free
+    for prefix, z in state.masks.items():
+        assert z & 1 and not z >> t + n, prefix
+        for m in range(1, 3 * u + 1):
+            assert fold(z, m) == oracles.idempotent_sum_free_oracle(k, n, prefix + (m,)), \
+                (prefix, m)
+        if prefix:
+            parent, v = state.masks[prefix[:-1]], prefix[-1]
+            assert z == sum((parent >> b & fold(parent, b + v)) << b for b in range(t + n)), \
+                prefix
 
 
 # sha256 of json.dumps(scan(...), sort_keys=True) in modes (1, 1), recorded from the
