@@ -27,7 +27,9 @@ clear bit of its parent's mask, a minimal idempotent-sum candidate
 classified there in closed form (minimal_candidates), and counted without
 a visit.  In modes 0 and 1 a free child whose own mask has no free child
 is not visited either (_Scan); its minimal candidates are classified and
-its children counted at its parent.  verify_window in settle mode is that
+its children counted at its parent.  There, too, every subtree with no
+minimal work below it is counted from a memo instead of walked
+(_Scan._absorb).  verify_window in settle mode is that
 walk in mode 1 (tail regime) or 2 (group regime), tallying every free bad
 multiset of its window: a non-free multiset fails the structure
 condition, so the violations are the free ones that fail it, and the rest
@@ -273,17 +275,20 @@ class _Dfs:
     leaves in DFS order.  A policy counts any other multisets it reaches
     with _count (the lift leaves of _LiftScan).
 
-    A child v whose own mask has no bit in [v, universe] has no free
-    child.  The walk then asks _settle(exact, total, smooth, depth),
-    with v on the stack and v's exact mask, index total, 1-smoothness and
-    length.  A true answer settles v: the walk counts its u - v + 1
-    children at that point and does not descend.
+    With a memo (_Scan without rows), a child v whose own mask has no
+    bit in [v, universe], so no free child, is settled: the walk counts
+    its u - v + 1 children at that point and does not descend.  Unless v
+    is dead, _Scan._minimal classifies v's minimal candidates there.  A
+    dead child with a free child goes to _Scan._absorb instead of _descend.
 
     The walk never goes past max_len terms and refuses with BudgetError
     once nodes exceeds node_budget, or once its recursion, one _descend
-    call per term of each multiset it descends from, hits Python's
+    or _sub call per term of each multiset it descends from, hits Python's
     recursion limit.
     """
+
+    # _Scan's memo of dead subtrees, and what the dead test reads
+    memo, free_only, multiples = None, False, 0
 
     def __init__(self, universe: int, period: int, threshold: int, max_len: int,
                  node_budget: int):
@@ -324,6 +329,7 @@ class _Dfs:
         top = self.u + 1
         nxt = terms.start
         zext = (z & self.low) | ((z >> cap) * self.rep) << cap
+        memo, free_only, multiples = self.memo, self.free_only, self.multiples
         while kids:
             low = kids & -kids
             kids ^= low
@@ -338,12 +344,18 @@ class _Dfs:
             child_total = total + v
             child_smooth = smooth and v <= 1 + total
             stack.append(v)
-            if not (child_z & upto) >> v and self._settle(child_exact, child_total,
-                                                           child_smooth, depth):
+            # v is dead when its least blocker is at most v + child_total - cap
+            dead = memo is not None and (free_only or (s := v + child_total - cap) >= 0
+                                         and child_exact & multiples & (2 << s) - 1)
+            if memo is not None and not (child_z & upto) >> v:
+                if not dead:
+                    self._minimal(range(v, top), child_exact, child_total, child_smooth, depth)
                 # v's children, all settled leaves
                 self.nodes += top - v
                 if self.nodes > budget:
                     raise over_budget(budget)
+            elif dead:
+                self._absorb(child_z, child_total, child_smooth, depth)
             else:
                 self._descend(range(v, top), child_z, child_exact, child_total, child_smooth)
             stack.pop()
@@ -361,10 +373,6 @@ class _Dfs:
     def _children(self, terms: range, z: int, exact: int, total: int, smooth: bool,
                   depth: int) -> int:
         raise NotImplementedError
-
-    def _settle(self, exact: int, total: int, smooth: bool, depth: int) -> bool:
-        """Whether to settle the childless child on top of the stack instead of visiting it."""
-        return False
 
 
 class _Tally:
@@ -388,6 +396,12 @@ class _Tally:
             # only as many bits as there is room for: a mask may be the universe wide
             self.best.extend(head + (w,) for w in _bits(lasts, room))
 
+    def open(self, deepest: int) -> int:
+        """The least length to list from a subtree whose longest bad ones have that length, or 0."""
+        if deepest > self.best_len:
+            self.best_len, self.best = deepest, []
+        return deepest if deepest == self.best_len and len(self.best) < WITNESS_LIMIT else 0
+
 
 class _Every(_Tally):
     """Per-length counts of one kind of bad multiset, and every one from length lo on."""
@@ -404,6 +418,9 @@ class _Every(_Tally):
             head = tuple(prefix)
             self.every.extend(head + (w,) for w in _bits(lasts))
 
+    def open(self, deepest: int) -> int:
+        return self.lo if deepest >= self.lo else 0
+
 
 class _Scan(_Dfs):
     """Visits only free multisets: _children classifies every child of a node.
@@ -415,11 +432,19 @@ class _Scan(_Dfs):
     are masks: the free ones are the bits of z in terms, the minimal
     candidates one progression of step period (minimal_candidates).
 
-    Without generator rows (modes 0 and 1) a free child with no free child
-    is settled at its parent (_settle): its minimal candidates are
-    classified there and its children counted.  The walks with generator
-    rows (modes 2 and 3) and _LiftScan, where row and lift work dominate,
-    visit every free child.
+    The walks with generator rows (modes 2 and 3) and _LiftScan, where row
+    and lift work dominate, keep memo None and visit every free child.
+    Without rows, a childless free child is settled at its parent (_Dfs),
+    and a free child P is dead when no multiset under it has a minimal
+    candidate: always in minimal mode 0, else when P's least blocker b,
+    the least multiple of the period in its exact mask, is at most
+    last + total - threshold.  Proof: minimal_candidates stops below
+    b + threshold - total <= last, and under P b can only fall while last
+    and total only rise.  A dead subtree reads only its key (_key), so
+    _sub counts it once per key, and the memo holds at most one state per
+    visited multiset.  _absorb adds the subtree's packed count vectors to
+    packed_free and packed_bad, which run unpacks, and lists its witnesses
+    by a guided descent (_expand).
 
     For modes 2 and 3, live[d] holds (total, row, reach, need) for each
     generator row whose total over the first d terms on the stack is below
@@ -449,6 +474,18 @@ class _Scan(_Dfs):
             self.live = [[]] * (max_len + 1)
             self.live[0] = [(0, row, 0, 0) for _, row in self.rows]
         self.ladders = 2 in (free_bad_mode, minimal_bad_mode)
+        self.memo = {} if self.live is None else None
+        self.free_only = not minimal_bad_mode
+        self.width = node_budget.bit_length() + 1
+        self.packed_free = self.packed_bad = 0
+        self.cut = max_len < threshold + period - 1
+
+    def run(self, first_lo: int, first_hi: int) -> None:
+        super().run(first_lo, first_hi)
+        for packed, counts in ((self.packed_free, self.free_count),
+                               (self.packed_bad, self.free_bad.by_len)):
+            for depth in range(len(counts)):
+                counts[depth] += packed >> self.width * depth & (1 << self.width) - 1
 
     def _bad(self, lasts: int, total: int, smooth: bool, depth: int, mode: int,
              zero_sum: bool) -> int:
@@ -498,9 +535,7 @@ class _Scan(_Dfs):
                     live.append((t + x, row, *_ladder(sorted([row[w] for w in stack]))))
             self.live[depth] = live
         if self.minimal_bad_mode:
-            found = minimal_candidates(terms, exact, total, self.threshold, self.n, self.multiples)
-            if found:
-                self._minimal(found, total, smooth, depth, weigh)
+            self._minimal(terms, exact, total, smooth, depth, weigh)
         free = z & ((1 << terms.stop) - 1) >> terms.start << terms.start
         if free:
             self.free_count[depth + 1] += weigh(free)
@@ -510,27 +545,98 @@ class _Scan(_Dfs):
                     self.free_bad.record(self.stack, bad, weigh(bad))
         return free
 
-    def _minimal(self, found: range, total, smooth, depth, weigh=int.bit_count) -> None:
-        """Count and classify P's minimal idempotent-sum children P + w, w in found."""
-        candidates = self.steps << found.start & (1 << found.stop) - 1
-        self.minimal_count[depth + 1] += weigh(candidates)
-        bad = self._bad(candidates, total, smooth, depth, self.minimal_bad_mode, True)
-        if bad:
-            self.minimal_bad.record(self.stack, bad, weigh(bad))
+    def _minimal(self, terms: range, exact, total, smooth, depth, weigh=int.bit_count) -> None:
+        """Count and classify the minimal idempotent-sum children P + w, w in terms, of P."""
+        found = minimal_candidates(terms, exact, total, self.threshold, self.n, self.multiples)
+        if found:
+            candidates = self.steps << found.start & (1 << found.stop) - 1
+            self.minimal_count[depth + 1] += weigh(candidates)
+            bad = self._bad(candidates, total, smooth, depth, self.minimal_bad_mode, True)
+            if bad:
+                self.minimal_bad.record(self.stack, bad, weigh(bad))
 
-    def _settle(self, exact, total, smooth, depth):
-        """Settle a childless free child v at its parent unless the walk reads rows.
+    def _absorb(self, z: int, total: int, smooth: bool, depth: int) -> None:
+        """Count the subtree of the dead multiset on the stack, and list its witnesses."""
+        free, bad, _ = self._sub(self.stack[-1], z, total, smooth, depth)
+        shift = self.width * (depth + 1)
+        self.packed_free += free << shift
+        self.packed_bad += bad << shift
+        floor = bad and self.free_bad.open(depth + 1 + (bad.bit_length() - 1) // self.width)
+        if floor:
+            self._expand(z, total, smooth, depth, floor)
 
-        v is on the stack, and its minimal candidates are classified here.
+    def _key(self, last: int, z: int, total: int, smooth: bool, depth: int) -> tuple:
+        """The memo key of a dead multiset: all that its subtree reads.
+
+        Its free children and their masks read z from bit min(last,
+        threshold) on, mode 1 reads total only if it is 1-smooth, and
+        max_len cuts a free multiset only below threshold + period - 1.
         """
-        if self.live is not None:
-            return False
-        if self.minimal_bad_mode:
-            found = minimal_candidates(range(self.stack[-1], self.u + 1), exact, total,
-                                       self.threshold, self.n, self.multiples)
-            if found:
-                self._minimal(found, total, smooth, depth)
-        return True
+        return (last, z >> min(last, self.threshold), total if smooth else -1,
+                self.max_len - depth if self.cut else 0)
+
+    def _sub(self, last: int, z: int, total: int, smooth: bool, depth: int) -> tuple:
+        """(free, bad, nodes) of the subtree under a dead multiset of length depth.
+
+        free and bad are packed: field i, width bits, counts the descendants
+        of length depth + 1 + i, and no count in a finished subtree exceeds
+        the budget.  A miss walks the subtree as _descend does, adding to
+        nodes in DFS order; a hit adds the stored nodes at once.
+        """
+        key = self._key(last, z, total, smooth, depth)
+        got = self.memo.get(key)
+        if got is not None:
+            self._count(got[2])
+            return got
+        start, top, cap, w = self.nodes, self.u + 1, self.threshold, self.width
+        kids = z & self.upto >> last << last
+        bad = kids >> total + 2 << total + 2 if smooth else kids
+        free, bad = kids.bit_count(), self.free_bad_mode and bad.bit_count()
+        zext = (z & self.low) | ((z >> cap) * self.rep) << cap
+        # children of length max_len are counted, not visited
+        kids, nxt = kids if depth + 1 < self.max_len else 0, last
+        while kids:
+            low = kids & -kids
+            kids ^= low
+            v = low.bit_length() - 1
+            # the settled leaves before v, then v and its subtree
+            self._count(v - nxt + 1)
+            nxt = v + 1
+            child_z = z & (zext >> v)
+            if (child_z & self.upto) >> v:
+                sub_free, sub_bad, _ = self._sub(v, child_z, total + v, smooth and v <= 1 + total,
+                                                 depth + 1)
+                free += sub_free << w
+                bad += sub_bad << w
+            else:
+                self._count(top - v)
+        self._count(top - nxt)
+        got = self.memo[key] = (free, bad, self.nodes - start)
+        return got
+
+    def _expand(self, z: int, total: int, smooth: bool, depth: int, floor: int) -> None:
+        """Record the bad multisets of length >= floor under the dead multiset on the stack.
+
+        In lexicographic order, entering only the children whose stored bad
+        vector has a nonzero field at length floor or more, up to WITNESS_LIMIT.
+        """
+        stack, tally, cap = self.stack, self.free_bad, self.threshold
+        kids = z & self.upto >> stack[-1] << stack[-1]
+        if bad := kids >> total + 2 << total + 2 if smooth else kids:
+            tally.record(stack, bad, 0)
+        skip = self.width * max(0, floor - depth - 2)
+        zext = (z & self.low) | ((z >> cap) * self.rep) << cap
+        while kids and depth + 1 < self.max_len and len(tally.best) < WITNESS_LIMIT:
+            low = kids & -kids
+            kids ^= low
+            v = low.bit_length() - 1
+            child_z, child_smooth = z & (zext >> v), smooth and v <= 1 + total
+            if ((child_z & self.upto) >> v
+                    and self.memo[self._key(v, child_z, total + v, child_smooth, depth + 1)][1]
+                    >> skip):
+                stack.append(v)
+                self._expand(child_z, total + v, child_smooth, depth + 1, floor)
+                stack.pop()
 
     def _witnesses(self, tally: _Tally) -> list[tuple[int, ...]]:
         return tally.best
@@ -591,6 +697,7 @@ class _LiftScan(_Scan):
                          free_bad_mode, minimal_bad_mode, node_budget)
         self.lifted = lifted
         self.liftable = (1 << lifted) - 1
+        self.memo = None
         self.weight = [1] * (max_len + 1)
         self.base = [1] * (max_len + 1)
         self.spare = [lifted - 1] * (max_len + 1)
@@ -622,10 +729,6 @@ class _LiftScan(_Scan):
         self._count(self.spare[depth])
         return super()._children(terms, z, exact, total, smooth, depth, self._weigh)
 
-    def _settle(self, exact, total, smooth, depth):
-        # a childless residue multiset still adds its spare leaves and its lift weights
-        return False
-
     def _witnesses(self, tally: _Tally) -> list[tuple[int, ...]]:
         # a residue multiset is its own least lift, so the first WITNESS_LIMIT
         # residue multisets hold the first WITNESS_LIMIT lifts
@@ -640,13 +743,10 @@ def scan(universe: int, period: int, threshold: int, max_len: int,
 
     Reaches exactly the nondecreasing multisets over [1, universe] whose
     proper prefixes are all free, up to length max_len, with the smallest
-    element in [first_lo, first_hi], and counts each in nodes.  It visits
-    the free ones only.  Every not-free one is a child of a free multiset
-    and a settled leaf: a clear bit of its parent's mask, classified there
-    if it is a minimal idempotent-sum candidate (minimal_bad_mode set), and
-    counted without a visit.  In modes 0 and 1 a free multiset without a
-    free child is settled at its parent in the same way, its minimal
-    candidates and its children with it.  The free multisets and the minimal
+    element in [first_lo, first_hi], and counts each in nodes, in DFS
+    order.  It visits free multisets only, and in modes 0 and 1 not all of
+    them: a childless one is settled at its parent, a dead subtree counted
+    from the memo (module docstring).  The free multisets and the minimal
     candidates are counted per length, and the "bad" ones are tallied per
     the modes above.
 

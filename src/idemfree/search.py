@@ -234,12 +234,14 @@ class ResultCache:
     def path(self, op: str, k: int, n: int, cap: int) -> Path:
         return self.directory / f"{op}_k{k}_n{n}_c{cap}.json"
 
-    def load(self, op: str, k: int, n: int, cap: int) -> dict | None:
-        """The stored payload, or None when there is none that answers this request.
+    def load(self, op: str, k: int, n: int,
+             cap: int) -> InvariantResult | VerificationReport | None:
+        """The stored result, or None when there is none that answers this request.
 
-        A file that does not hold a payload exactly as this module writes
-        it, or whose payload is not the result of (op, k, n, cap), is a
-        miss; the caller recomputes and overwrites it.
+        The result is parsed once.  A file that does not hold a payload
+        exactly as this module writes it, or whose payload is not the
+        result of (op, k, n, cap), is a miss; the caller recomputes and
+        overwrites it.
         """
         path = self.path(op, k, n, cap)
         if not path.is_file():
@@ -255,7 +257,7 @@ class ResultCache:
                 or (payload[field], payload["k"], payload["n"], payload[cap_field])
                 != (label, k, n, cap)):
             return None
-        return payload
+        return stored
 
     def store(self, op: str, k: int, n: int, cap: int, payload: dict) -> None:
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -294,7 +296,7 @@ def _cached(op: str, params: SemigroupParams, cap: int,
     if cache is not None:
         hit = cache.load(op, params.k, params.n, cap)
         if hit is not None:
-            return _CACHE_OPS[op][0].from_json_dict(hit)
+            return hit
     result = compute()
     if cache is not None:
         cache.store(op, params.k, params.n, cap, result.to_json_dict())
@@ -410,7 +412,7 @@ def _thresholds(params: SemigroupParams, requests: dict[str, int | None], node_b
         which = pending.pop(0)
         hit = cache.load(_op(which), params.k, params.n, caps[which])
         if hit is not None:
-            results[which] = InvariantResult.from_json_dict(hit)
+            results[which] = hit
         elif (len(caps) == 1 and which in _SIBLING and not params.k == params.n == 1
               and caps[which] == _cap(which, params, None)):
             sibling = _SIBLING[which]

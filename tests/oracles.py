@@ -270,3 +270,73 @@ def settle_window(universe, period, threshold, tail_regime, len_lo, len_hi,
     if len_hi >= 1:
         descend((), 0, 0, 0, True)
     return out
+
+
+# --- scan in modes 0 and 1, one free multiset at a time ---------------------
+# The reference for _kernels.scan without generator rows.  It shares no walk
+# with the kernel: no free-term mask, no settled child and no memo.  Its own
+# recursion visits every free multiset, profiles each child with
+# profile_step, decides minimality with is_minimal_extension and counts every
+# multiset it reaches, in DFS order.
+
+def scan_tallies(universe, period, threshold, max_len) -> dict:
+    """Per first term, per length up to max_len: what scan counts and tallies.
+
+    Each entry maps "nodes" to the reached multisets (those whose proper
+    prefixes are all free), "free" and "minimal" to the free and minimal
+    idempotent-sum ones, "free_bad" and "minimal_bad" to those of them
+    that are not 1-smooth, and "free_wit" and "minimal_wit" to the first
+    WITNESS_LIMIT of those, in DFS (lexicographic) order.
+    """
+    multiples = _kernels.period_multiples(threshold, period)
+
+    def visit(prefix, exact, high, total, smooth, terms, row):
+        for w in terms:
+            child = prefix + (w,)
+            length = len(child)
+            row["nodes"][length] += 1
+            child_exact, child_high = _kernels.profile_step(exact, high, w, threshold, period)
+            child_smooth = smooth and w <= total + 1
+            if not child_high & 1:
+                kind = "free"
+            elif _kernels.is_minimal_extension(exact, total + w, threshold, period, multiples):
+                kind = "minimal"
+            else:
+                continue
+            row[kind][length] += 1
+            if not child_smooth:
+                row[f"{kind}_bad"][length] += 1
+                if len(row[f"{kind}_wit"][length]) < _kernels.WITNESS_LIMIT:
+                    row[f"{kind}_wit"][length].append(child)
+            if kind == "free" and length < max_len:
+                visit(child, child_exact, child_high, total + w, child_smooth,
+                      range(w, universe + 1), row)
+
+    out = {}
+    for first in range(1, universe + 1):
+        out[first] = row = {key: [0] * (max_len + 1)
+                            for key in ("nodes", "free", "minimal", "free_bad", "minimal_bad")}
+        row["free_wit"] = [[] for _ in range(max_len + 1)]
+        row["minimal_wit"] = [[] for _ in range(max_len + 1)]
+        visit((), 0, 0, 0, True, (first,), row)
+    return out
+
+
+def scan_from_tallies(tallies, max_len, first_lo, free_bad_mode, minimal_bad_mode) -> dict:
+    """scan's dict over the first terms from first_lo on, at cap max_len, from scan_tallies."""
+    rows = [row for first, row in tallies.items() if first >= first_lo]
+
+    def summed(key):
+        return [sum(row[key][length] for row in rows) for length in range(max_len + 1)]
+
+    out = {"nodes": sum(summed("nodes"))}
+    for kind, mode in (("free", free_bad_mode), ("minimal", minimal_bad_mode)):
+        counted = kind == "free" or mode
+        out[f"{kind}_count_by_len"] = summed(kind) if counted else [0] * (max_len + 1)
+        bad = summed(f"{kind}_bad") if mode else [0] * (max_len + 1)
+        best = max((length for length, count in enumerate(bad) if count), default=0)
+        out[f"{kind}_bad_by_len"] = bad
+        out[f"{kind}_bad_len"] = best
+        out[f"{kind}_bad_witnesses"] = ([w for row in rows for w in row[f"{kind}_wit"][best]]
+                                        [:_kernels.WITNESS_LIMIT] if best else [])
+    return out

@@ -566,6 +566,38 @@ def test_tail_scan_matches_its_recorded_digest(k, n, cap, first_lo, nodes, diges
         assert str(err.value) == str(_kernels.over_budget(nodes - 1))
 
 
+# sha256 of json.dumps(scan(...), sort_keys=True) at the default cap of the
+# modes, recorded from the walk before dead subtrees were counted from a memo;
+# it took 8-11, 7-8 and 1 s for them
+SCALE_SCAN_DIGESTS = [
+    (36, 18, (1, 0), 71787475, "5f7ffba16ca58795e1d62c1a31cccd31e3238d9ce922a4625da8a8e6120d4f40"),
+    (42, 14, (1, 0), 84503187, "77577a57f2c347331436d5fb8e750fd9b07779937f80b9615e9d9f9b56222fce"),
+    (25, 12, (1, 1), 6378988, "004fc6a5dcc142d9f6710001044c2fe31550d4783390c4a6b7465d1107596a26"),
+]
+
+
+@pytest.mark.parametrize("k,n,modes,nodes,digest", SCALE_SCAN_DIGESTS,
+                         ids=[f"{k}-{n}-modes{m}{b}" for k, n, (m, b), _, _ in SCALE_SCAN_DIGESTS])
+def test_scan_at_scale_matches_its_recorded_digest(k, n, modes, nodes, digest):
+    # the memo holds 32 119 states at (36,18), at about 0.3 KB each, so the
+    # walk peaks near 9 MiB; tracemalloc makes it about 20 times slower
+    p = P(k, n)
+    u, t = p.size, p.threshold
+    cap = default_free_cap(p) if modes == (1, 0) else default_minimal_cap(p)
+    traced = (k, n) == (36, 18)
+    if traced:
+        tracemalloc.start()
+    try:
+        out = _kernels.scan(u, n, t, cap, 1, u, *modes, 10**8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out["nodes"] == nodes
+    assert hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest() == digest
+    if traced:
+        assert peak < 32 * 2**20
+
+
 TAIL_PAIRS_TO_16 = [(k, n) for k in range(2, 16) for n in range(1, k) if k + n <= 16]
 
 
@@ -901,6 +933,37 @@ def test_cache_round_trip(tmp_path):
     assert (tmp_path / "index_k1_n6_c12.json").exists()
 
 
+def test_cache_hit_parses_each_witness_once(tmp_path, monkeypatch):
+    # a hit returns the result load validated: one parse per witness, the
+    # result of a fresh walk; a file with a non-canonical witness is a miss,
+    # recomputed and rewritten
+    from idemfree import search
+    p = P(7, 5)
+    fresh = free_smooth_threshold(p)
+    assert len(fresh.witnesses) == 32
+    free_smooth_threshold(p, cache=tmp_path)
+    parsed = []
+    parse = search.parse_index_multiset
+
+    def counted(text):
+        parsed.append(text)
+        return parse(text)
+    monkeypatch.setattr(search, "parse_index_multiset", counted)
+    calls = _counted_scans(monkeypatch)
+    assert free_smooth_threshold(p, cache=tmp_path) == fresh
+    assert parsed == [search.format_index_multiset(w) for w in fresh.witnesses]
+    assert calls == []
+
+    path = tmp_path / "free_smooth_k7_n5_c14.json"
+    stored = path.read_text()
+    canonical = search.format_index_multiset(fresh.witnesses[0])
+    assert canonical == "1^3,5,6"
+    path.write_text(stored.replace(f'"{canonical}"', '"6,5,1^3"', 1))
+    assert free_smooth_threshold(p, cache=tmp_path) == fresh
+    assert len(calls) == 1
+    assert path.read_text() == stored
+
+
 def _counted_scans(monkeypatch) -> list[tuple]:
     """Record the arguments of every _kernels.scan call from now on."""
     calls = []
@@ -1116,3 +1179,26 @@ def test_minimal_threshold_vs_index_threshold():
         assert smo >= ind
         if n in (6, 8):
             assert smo == ind
+
+
+TAIL_PAIRS_TO_20 = [(k, n) for k in range(2, 20) for n in range(1, k) if k + n <= 20]
+
+
+@pytest.mark.parametrize("k,n", TAIL_PAIRS_TO_20)
+def test_scan_matches_the_reference_walk(k, n):
+    # every key of scan without generator rows, memo and settled children
+    # included, against a walk that visits every free multiset: modes 0 and
+    # 1 on each side, a cap that closes the walk and two that cut it, first
+    # terms from 1 and from 2, and the refusal one node below the count
+    p = P(k, n)
+    u, t = p.size, p.threshold
+    tallies = oracles.scan_tallies(u, n, t, t + n - 1)
+    for cap in (t + n - 1, t + n - 2, t // 2):
+        for first_lo in (1, 2):
+            for modes in [(0, 0), (1, 0), (0, 1), (1, 1)]:
+                want = oracles.scan_from_tallies(tallies, cap, first_lo, *modes)
+                got = _kernels.scan(u, n, t, cap, first_lo, u, *modes, want["nodes"])
+                assert got == want, (cap, first_lo, modes)
+                with pytest.raises(BudgetError) as err:
+                    _kernels.scan(u, n, t, cap, first_lo, u, *modes, want["nodes"] - 1)
+                assert str(err.value) == str(_kernels.over_budget(want["nodes"] - 1))
